@@ -10,7 +10,10 @@
 //!
 //! All processes are driven by a caller-supplied [`SimRng`] stream and
 //! produce the *next arrival instant after* a given time, so generators can
-//! interleave many processes deterministically.
+//! interleave many processes deterministically. A search can also be told
+//! the horizon it is filling ([`ArrivalProcess::next_before`]); a process
+//! whose search past the horizon is costly may then stop there and resume
+//! later with the identical draws.
 
 use tg_des::{SimDuration, SimRng, SimTime};
 
@@ -22,12 +25,37 @@ fn at_least_one_tick(gap_secs: f64) -> SimDuration {
     SimDuration::from_secs_f64(gap_secs).max(SimDuration::from_micros(1))
 }
 
+/// The outcome of a horizon-bounded arrival search
+/// ([`ArrivalProcess::next_before`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Next {
+    /// The next arrival, which may lie at or past the horizon.
+    At(SimTime),
+    /// The search's clock reached the horizon before it found an arrival,
+    /// so every later arrival lies past the horizon. The search stopped at
+    /// this clock before drawing anything there; `next_after(clock)`
+    /// resumes it with exactly the draws the unbounded search would have
+    /// made next.
+    Parked(SimTime),
+    /// The process has ended.
+    Ended,
+}
+
 /// A stochastic point process over simulation time.
 pub trait ArrivalProcess {
     /// The first arrival strictly after `after`. Returns `None` if the
     /// process has ended (never, for the processes here, but trace replay
     /// uses it).
     fn next_after(&mut self, after: SimTime, rng: &mut SimRng) -> Option<SimTime>;
+
+    /// [`next_after`](ArrivalProcess::next_after), except that the search
+    /// may stop once its clock reaches `horizon` (see [`Next::Parked`]).
+    /// The default never parks: a process whose search costs O(1) draws
+    /// past the horizon has nothing to save.
+    fn next_before(&mut self, after: SimTime, horizon: SimTime, rng: &mut SimRng) -> Next {
+        let _ = horizon;
+        self.next_after(after, rng).map_or(Next::Ended, Next::At)
+    }
 
     /// Long-run average rate in arrivals per second (for load calculations).
     fn mean_rate(&self) -> f64;
@@ -200,12 +228,20 @@ impl Mmpp2 {
             self.state_until = self.state_until.max(t) + SimDuration::from_secs_f64(hold);
         }
     }
-}
 
-impl ArrivalProcess for Mmpp2 {
-    fn next_after(&mut self, after: SimTime, rng: &mut SimRng) -> Option<SimTime> {
+    /// The one search loop behind both trait methods; `horizon: None` is
+    /// the unbounded search. A sparse stream flips state thousands of
+    /// times a year between arrivals, so the unbounded search can walk
+    /// years past the horizon to find an arrival that is then discarded.
+    /// With a horizon, the search parks at the top of the loop, before
+    /// `advance_state` draws, so resuming from the parked clock replays
+    /// the loop from the identical state.
+    fn search(&mut self, after: SimTime, horizon: Option<SimTime>, rng: &mut SimRng) -> Next {
         let mut t = after;
         loop {
+            if horizon.is_some_and(|h| t >= h) {
+                return Next::Parked(t);
+            }
             self.advance_state(t, rng);
             let rate = if self.in_burst {
                 self.rate_burst
@@ -220,11 +256,24 @@ impl ArrivalProcess for Mmpp2 {
             let gap = -(1.0 - rng.uniform()).ln() / rate;
             let cand = t + at_least_one_tick(gap);
             if cand <= self.state_until {
-                return Some(cand);
+                return Next::At(cand);
             }
             // Arrival would fall past the state change; restart from there.
             t = self.state_until;
         }
+    }
+}
+
+impl ArrivalProcess for Mmpp2 {
+    fn next_after(&mut self, after: SimTime, rng: &mut SimRng) -> Option<SimTime> {
+        match self.search(after, None, rng) {
+            Next::At(t) => Some(t),
+            Next::Parked(_) | Next::Ended => unreachable!("an unbounded search never parks"),
+        }
+    }
+
+    fn next_before(&mut self, after: SimTime, horizon: SimTime, rng: &mut SimRng) -> Next {
+        self.search(after, Some(horizon), rng)
     }
 
     fn mean_rate(&self) -> f64 {
@@ -234,23 +283,28 @@ impl ArrivalProcess for Mmpp2 {
 }
 
 /// Drain a process into a vector of arrivals in `[start, horizon)` — the
-/// form the offline generator consumes.
+/// form the offline generator consumes — plus the clock its last search
+/// parked at, if it parked ([`Next::Parked`]). `next_after(clock)`
+/// finishes that search, leaving `rng` where the unbounded search would
+/// have; a caller that never draws from `rng` again can skip it.
 pub fn arrivals_in(
     process: &mut dyn ArrivalProcess,
     start: SimTime,
     horizon: SimTime,
     rng: &mut SimRng,
-) -> Vec<SimTime> {
+) -> (Vec<SimTime>, Option<SimTime>) {
     let mut out = Vec::new();
     let mut t = start;
-    while let Some(next) = process.next_after(t, rng) {
-        if next >= horizon {
-            break;
+    loop {
+        match process.next_before(t, horizon, rng) {
+            Next::At(next) if next < horizon => {
+                out.push(next);
+                t = next;
+            }
+            Next::Parked(clock) => return (out, Some(clock)),
+            Next::At(_) | Next::Ended => return (out, None),
         }
-        out.push(next);
-        t = next;
     }
-    out
 }
 
 #[cfg(test)]
@@ -262,7 +316,7 @@ mod tests {
         let mut p = Poisson::per_hour(60.0); // 1 per minute
         let mut rng = SimRng::seeded(1);
         let horizon = SimTime::from_days(10);
-        let arrivals = arrivals_in(&mut p, SimTime::ZERO, horizon, &mut rng);
+        let arrivals = arrivals_in(&mut p, SimTime::ZERO, horizon, &mut rng).0;
         let expect = 60.0 * 24.0 * 10.0;
         let got = arrivals.len() as f64;
         assert!((got - expect).abs() / expect < 0.05, "{got} vs {expect}");
@@ -273,7 +327,7 @@ mod tests {
     fn poisson_arrivals_strictly_increase() {
         let mut p = Poisson::new(10.0);
         let mut rng = SimRng::seeded(2);
-        let arrivals = arrivals_in(&mut p, SimTime::ZERO, SimTime::from_secs(100), &mut rng);
+        let arrivals = arrivals_in(&mut p, SimTime::ZERO, SimTime::from_secs(100), &mut rng).0;
         for w in arrivals.windows(2) {
             assert!(w[0] < w[1]);
         }
@@ -284,7 +338,7 @@ mod tests {
     fn diurnal_peaks_during_the_day() {
         let mut d = DiurnalPoisson::new(1000.0, 5.0, 14.0, 1.0);
         let mut rng = SimRng::seeded(3);
-        let arrivals = arrivals_in(&mut d, SimTime::ZERO, SimTime::from_days(28), &mut rng);
+        let arrivals = arrivals_in(&mut d, SimTime::ZERO, SimTime::from_days(28), &mut rng).0;
         // Count arrivals near the peak (12:00–16:00) vs trough (00:00–04:00).
         let peak = arrivals
             .iter()
@@ -304,7 +358,7 @@ mod tests {
     fn diurnal_weekend_dip() {
         let mut d = DiurnalPoisson::new(1000.0, 1.0, 12.0, 0.25);
         let mut rng = SimRng::seeded(4);
-        let arrivals = arrivals_in(&mut d, SimTime::ZERO, SimTime::from_days(56), &mut rng);
+        let arrivals = arrivals_in(&mut d, SimTime::ZERO, SimTime::from_days(56), &mut rng).0;
         let weekday = arrivals.iter().filter(|t| t.day_of_week() < 5).count() as f64 / 5.0;
         let weekend = arrivals.iter().filter(|t| t.day_of_week() >= 5).count() as f64 / 2.0;
         let ratio = weekend / weekday;
@@ -316,7 +370,7 @@ mod tests {
         let mut d = DiurnalPoisson::new(500.0, 3.0, 10.0, 0.5);
         let mut rng = SimRng::seeded(5);
         let days = 35u64;
-        let arrivals = arrivals_in(&mut d, SimTime::ZERO, SimTime::from_days(days), &mut rng);
+        let arrivals = arrivals_in(&mut d, SimTime::ZERO, SimTime::from_days(days), &mut rng).0;
         let expect = d.mean_rate() * 86_400.0 * days as f64;
         let got = arrivals.len() as f64;
         assert!((got - expect).abs() / expect < 0.07, "{got} vs {expect}");
@@ -327,7 +381,7 @@ mod tests {
         // Compare squared CV of inter-arrival times.
         let mut rng = SimRng::seeded(6);
         let mut mmpp = Mmpp2::new(0.01, 2.0, 500.0, 50.0);
-        let arr = arrivals_in(&mut mmpp, SimTime::ZERO, SimTime::from_days(3), &mut rng);
+        let arr = arrivals_in(&mut mmpp, SimTime::ZERO, SimTime::from_days(3), &mut rng).0;
         assert!(arr.len() > 100, "need data, got {}", arr.len());
         let gaps: Vec<f64> = arr
             .windows(2)
@@ -350,7 +404,7 @@ mod tests {
     fn mmpp_zero_quiet_rate_still_progresses() {
         let mut m = Mmpp2::new(0.0, 5.0, 60.0, 60.0);
         let mut rng = SimRng::seeded(7);
-        let arr = arrivals_in(&mut m, SimTime::ZERO, SimTime::from_hours(10), &mut rng);
+        let arr = arrivals_in(&mut m, SimTime::ZERO, SimTime::from_hours(10), &mut rng).0;
         assert!(!arr.is_empty(), "burst state must emit arrivals");
         for w in arr.windows(2) {
             assert!(w[0] < w[1]);
@@ -362,7 +416,7 @@ mod tests {
         let run = |seed| {
             let mut p = DiurnalPoisson::new(200.0, 2.0, 9.0, 0.5);
             let mut rng = SimRng::seeded(seed);
-            arrivals_in(&mut p, SimTime::ZERO, SimTime::from_days(2), &mut rng)
+            arrivals_in(&mut p, SimTime::ZERO, SimTime::from_days(2), &mut rng).0
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));

@@ -375,6 +375,7 @@ pub(crate) struct IdCursor {
 /// (the common-random-numbers contract). Arrival instants strictly increase
 /// and every job in an arrival's block shares its submit time with ids
 /// ascending, so blocks come out already sorted by `(submit_time, id)`.
+#[derive(Clone)]
 pub(crate) struct UserGen {
     user: User,
     home: SiteId,
@@ -387,6 +388,15 @@ pub(crate) struct UserGen {
 }
 
 impl UserGen {
+    /// The user's generation state, with all arrivals drawn.
+    ///
+    /// A bursty arrival search may park at the horizon
+    /// ([`arrivals_in`]). Finishing it only moves the RNG stream to where
+    /// the unbounded search would have left it, so it is finished only for
+    /// a user with at least one arrival. Skipping it otherwise is exact:
+    /// the stream's only later readers are the per-arrival job-field
+    /// draws, so a user with no arrivals never reads it again and no
+    /// output depends on its state.
     pub(crate) fn new(
         gen: &WorkloadGenerator,
         user: &User,
@@ -404,12 +414,15 @@ impl UserGen {
             .copied();
         let rate_per_day = profile.per_user_per_day * user.activity;
         let mut process = build_arrival(profile.arrival, rate_per_day);
-        let arrivals = arrivals_in(
+        let (arrivals, parked) = arrivals_in(
             process.as_mut(),
             SimTime::ZERO,
             SimTime::ZERO + gen.config.horizon,
             &mut rng,
         );
+        if let Some(clock) = parked.filter(|_| !arrivals.is_empty()) {
+            process.next_after(clock, &mut rng);
+        }
         UserGen {
             user: user.clone(),
             home,
@@ -550,6 +563,18 @@ fn build_arrival(kind: ArrivalKind, rate_per_day: f64) -> Box<dyn ArrivalProcess
             Box::new(Mmpp2::new(rq, rb, mean_quiet_s, mean_burst_s))
         }
     }
+}
+
+/// A sparsely active population: the baseline mix over a year at the
+/// million-user scenario's per-user rates (0.0016 of the baseline's), so
+/// most workflow users have no arrival inside the horizon.
+#[cfg(test)]
+pub(crate) fn sparse_config(users: usize) -> GeneratorConfig {
+    let mut cfg = GeneratorConfig::baseline(users, 365, 3);
+    for p in &mut cfg.profiles {
+        p.per_user_per_day *= 0.0016;
+    }
+    cfg
 }
 
 #[cfg(test)]
@@ -755,6 +780,46 @@ mod tests {
         cfg.rc_config_count = 0;
         let w = WorkloadGenerator::new(cfg).generate(&RngFactory::new(1));
         assert_eq!(w.jobs_of(Modality::RcAccelerated).count(), 0);
+    }
+
+    /// FNV-1a over each job's JSON, in stream order.
+    fn digest(jobs: &[Job]) -> u64 {
+        jobs.iter()
+            .flat_map(|j| serde_json::to_string(j).unwrap().into_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn sparse_generation_matches_pinned_digests() {
+        // Pinned from the generator before bursty searches parked at the
+        // horizon: parking must not change a single output byte.
+        let gen = WorkloadGenerator::new(sparse_config(1000));
+        for (seed, jobs, want) in [
+            (3000u64, 3971usize, 0xc84c_125a_8bda_539e_u64),
+            (777, 3821, 0x3c0e_7f48_cce4_70c0),
+        ] {
+            let w = gen.generate(&RngFactory::new(seed));
+            assert_eq!(w.jobs.len(), jobs, "seed {seed}");
+            assert_eq!(digest(&w.jobs), want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn zero_rate_bursty_profile_generates_nothing_and_finishes() {
+        // Regression: a zero rate is clamped to 1e-9/day, and the bursty
+        // search used to walk ~1e9 days of state flips per user looking
+        // for its first arrival.
+        let mut cfg = GeneratorConfig::baseline(100, 14, 3);
+        cfg.profile_mut(Modality::Workflow).per_user_per_day = 0.0;
+        let gen = WorkloadGenerator::new(cfg);
+        let w = gen.generate(&RngFactory::new(3));
+        assert_eq!(w.jobs_of(Modality::Workflow).count(), 0);
+        assert!(!w.jobs.is_empty(), "other modalities still generate");
+        let streamed = gen.generate_streaming(&RngFactory::new(3));
+        assert_eq!(streamed.total_jobs, w.jobs.len());
+        assert_eq!(streamed.stream.collect::<Vec<_>>(), w.jobs);
     }
 
     #[test]

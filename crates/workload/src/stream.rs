@@ -4,17 +4,18 @@
 //! million-user scale that footprint dominates peak RSS. This module
 //! produces the *identical* job sequence one job at a time:
 //!
-//! 1. **Counting prepass.** Each user's generation is replayed (same RNG
-//!    stream, same draws) with the jobs discarded, yielding the exact
-//!    per-user id bases the global counters would have reached — job,
-//!    workflow, and ensemble ids are threaded across users in population
-//!    order, so each user owns a contiguous block of each id space.
-//! 2. **Per-user cursors.** A fresh `UserGen` per user re-draws the
-//!    arrival instants up front (~8 bytes per arrival, versus hundreds per
+//! 1. **Per-user cursors.** One `UserGen` per user draws the arrival
+//!    instants up front (~8 bytes per arrival, versus hundreds per
 //!    materialized job) and draws job fields lazily as each arrival is
 //!    pulled. The draw *order* within the user's stream is unchanged —
 //!    all arrivals first, then per-arrival job fields — so every sampled
 //!    value matches the materialized path bit for bit.
+//! 2. **Counting prepass.** A clone of each fresh cursor runs to its end
+//!    with the jobs discarded (same RNG state, same draws), yielding the
+//!    exact per-user id bases the global counters would have reached —
+//!    job, workflow, and ensemble ids are threaded across users in
+//!    population order, so each user owns a contiguous block of each id
+//!    space.
 //! 3. **K-way merge.** Arrival instants strictly increase within a user
 //!    and every job in an arrival's block shares its submit time with
 //!    contiguous ascending ids, so each cursor emits blocks already sorted
@@ -22,8 +23,9 @@
 //!    heap over `(next submit time, next id)` therefore reproduces the
 //!    materialized `sort_by_key(|j| (j.submit_time, j.id))` exactly.
 //!
-//! The cost is one extra generation pass (the prepass) and the resident
-//! cursors; what it buys is that pending jobs never exist all at once.
+//! The cost is one extra pass of job-field draws (the prepass; arrivals
+//! are drawn once per user) and the resident cursors; what it buys is
+//! that pending jobs never exist all at once.
 
 use crate::generator::{IdCursor, UserGen, WorkloadGenerator};
 use crate::job::Job;
@@ -77,15 +79,15 @@ impl WorkloadGenerator {
 
         for user in &population.users {
             let gateway = self.gateway_for(user, &mut gw_counter);
-            // Counting prepass: replay this user's generation and discard
-            // the jobs — only the id-counter advance is kept. Uses its own
-            // instance of the user's RNG stream, so the real cursor below
-            // starts from the identical state.
-            let mut counter = UserGen::new(self, user, factory, ids, gateway);
+            let cursor = UserGen::new(self, user, factory, ids, gateway);
+            // Counting prepass: run a copy of the fresh cursor to its end
+            // and discard the jobs — only the id-counter advance is kept.
+            // The copy starts from the cursor's exact RNG state, so the
+            // user's arrivals are built once.
+            let mut counter = cursor.clone();
             while counter.emit_next(self, rc_zipf.as_ref(), &mut scratch) {
                 scratch.clear();
             }
-            let cursor = UserGen::new(self, user, factory, ids, gateway);
             if let Some(t) = cursor.peek_time() {
                 heap.push(Reverse((t, cursor.ids().next_job, cursors.len())));
             }
@@ -160,7 +162,7 @@ pub fn drain_sorted(jobs: Vec<Job>) -> impl Iterator<Item = Job> + Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::GeneratorConfig;
+    use crate::generator::{sparse_config, GeneratorConfig};
     use crate::modality::Modality;
 
     fn cfg() -> GeneratorConfig {
@@ -171,8 +173,14 @@ mod tests {
 
     #[test]
     fn streamed_equals_materialized() {
-        for seed in [1u64, 7, 42] {
-            let gen = WorkloadGenerator::new(cfg());
+        let inputs = [
+            (cfg(), 1u64),
+            (cfg(), 7),
+            (cfg(), 42),
+            (sparse_config(600), 5),
+        ];
+        for (cfg, seed) in inputs {
+            let gen = WorkloadGenerator::new(cfg);
             let materialized = gen.generate(&RngFactory::new(seed));
             let streamed = gen.generate_streaming(&RngFactory::new(seed));
             assert_eq!(streamed.population.users, materialized.population.users);

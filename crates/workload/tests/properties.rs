@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use tg_des::{RngFactory, SimDuration, SimRng, SimTime};
 use tg_workload::arrival::{arrivals_in, ArrivalProcess, DiurnalPoisson, Mmpp2, Poisson};
 use tg_workload::dag::DagShape;
+use tg_workload::profiles::ArrivalKind;
 use tg_workload::swf;
 use tg_workload::{GeneratorConfig, Modality, ModalityProfile, PopulationMix, WorkloadGenerator};
 
@@ -128,7 +129,7 @@ proptest! {
             1 => Box::new(DiurnalPoisson::new(rate, 3.0, 12.0, 0.5)),
             _ => Box::new(Mmpp2::new(rate / 86_400.0, rate / 8_640.0, 3600.0, 600.0)),
         };
-        let arrivals = arrivals_in(
+        let (arrivals, _) = arrivals_in(
             process.as_mut(),
             SimTime::ZERO,
             SimTime::from_days(2),
@@ -248,5 +249,55 @@ proptest! {
         for (_, id, modality) in &drained {
             prop_assert_eq!(truth.get(id), Some(modality), "id {:?} not in source", id);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A bursty search parked at the horizon and then finished yields the
+    /// arrivals of the unbounded search — an empty list when none fall in
+    /// the horizon — and leaves the stream at the same next draw. Rates
+    /// reach down to 1e-6/day, where the unbounded search walks thousands
+    /// of years of state flips past the horizon.
+    #[test]
+    fn parked_bursty_search_is_exact(
+        seed in any::<u64>(),
+        log10_rate_per_day in -6.0f64..3.0,
+        days in 1u64..400,
+    ) {
+        // The workflow profile's bursty process at the drawn mean rate.
+        let ArrivalKind::Bursty { burst_ratio, mean_quiet_s, mean_burst_s } =
+            ModalityProfile::default_for(Modality::Workflow).arrival
+        else {
+            panic!("the workflow profile is bursty");
+        };
+        let mean_per_sec = 10f64.powf(log10_rate_per_day) / 86_400.0;
+        let rate_quiet = mean_per_sec * (mean_quiet_s + mean_burst_s)
+            / (mean_quiet_s + burst_ratio * mean_burst_s);
+        let process = Mmpp2::new(rate_quiet, burst_ratio * rate_quiet, mean_quiet_s, mean_burst_s);
+        let horizon = SimTime::from_days(days);
+
+        let mut want_rng = SimRng::seeded(seed);
+        let mut unbounded = process.clone();
+        let mut want = Vec::new();
+        let mut t = SimTime::ZERO;
+        while let Some(next) = unbounded.next_after(t, &mut want_rng) {
+            if next >= horizon {
+                break;
+            }
+            want.push(next);
+            t = next;
+        }
+
+        let mut rng = SimRng::seeded(seed);
+        let mut parked = process;
+        let (got, clock) = arrivals_in(&mut parked, SimTime::ZERO, horizon, &mut rng);
+        prop_assert_eq!(&got, &want);
+        if let Some(clock) = clock {
+            prop_assert!(clock >= horizon);
+            parked.next_after(clock, &mut rng);
+        }
+        prop_assert_eq!(rng.uniform().to_bits(), want_rng.uniform().to_bits());
     }
 }
