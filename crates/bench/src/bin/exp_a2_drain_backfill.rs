@@ -44,7 +44,7 @@ fn main() {
             &[(Modality::BatchComputing, users)],
             kind,
         );
-        let reps = replicate_with(&cfg.build(), 15_000, 3, 0, &RunOptions::with_metrics());
+        let reps = replicate_with(&cfg.build(), 15_000, 3, &RunOptions::with_metrics());
         let mut utils = Vec::new();
         let mut normal_waits = Vec::new();
         let mut hero_waits = Vec::new();

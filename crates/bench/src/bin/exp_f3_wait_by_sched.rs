@@ -77,7 +77,7 @@ fn main() {
             trace_path: Some(trace_path.clone()),
             ..RunOptions::default()
         };
-        let reps = replicate_with(&cfg.build(), 5000, 3, 0, &opts);
+        let reps = replicate_with(&cfg.build(), 5000, 3, &opts);
         let xcheck = wait_crosscheck(&trace_path, &reps[0].output);
         let _ = std::fs::remove_file(&trace_path);
         assert!(

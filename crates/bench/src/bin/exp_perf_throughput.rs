@@ -28,7 +28,8 @@
 //!
 //! Flags:
 //! * `--quick` — healthy section only, saved as `BENCH_throughput_quick`
-//!   (CI smoke; skips the faulted, large, scaling, and streaming sections).
+//!   (CI smoke; skips the faulted, large, streaming, observability, and
+//!   data sections).
 //! * `--check <path>` — after measuring, compare against a previous
 //!   `BENCH_throughput*.json`: per-seed healthy `events`/`jobs` must match
 //!   exactly, and pooled healthy events/s must not regress below 85% of the
@@ -99,74 +100,6 @@ struct FaultedSection {
     events_per_sec: f64,
     memory: MemorySection,
     per_rep: Vec<RepRow>,
-}
-
-/// One thread-count datapoint of the sharded-engine scaling sweep.
-#[derive(Serialize)]
-struct ScalingRow {
-    threads: usize,
-    events: u64,
-    wall_seconds: f64,
-    events_per_sec: f64,
-    /// Relative to the `threads = 1` (serial-path) row of the same sweep.
-    speedup: f64,
-    /// Sync-protocol counters (`None` on the serial row).
-    sync: Option<ScalingSync>,
-}
-
-/// Deterministic sync-protocol counters of one sharded row — the
-/// protocol-overhead trajectory tracked across PRs. Two ratios, two
-/// questions: `rounds_per_event` divides by *all* delivered events and says
-/// what the engine as shipped (governor and all) pays per event end to end;
-/// `rounds_per_protocol_event` divides by protocol-executed events only
-/// (total minus the governed serial tail), so a governor fold on a
-/// single-core host cannot flatter the protocol it cut short.
-#[derive(Serialize)]
-struct ScalingSync {
-    /// Candidate interludes + grant rounds (coordinator-event rounds are
-    /// serial work either engine pays).
-    sync_rounds: u64,
-    rounds_per_event: f64,
-    rounds_per_protocol_event: f64,
-    candidate_rounds: u64,
-    grant_rounds: u64,
-    bound_clamps: u64,
-    interlude_messages: u64,
-    batched_candidates: u64,
-    governor_fired: bool,
-    serial_tail_events: u64,
-}
-
-impl ScalingSync {
-    fn from_profile(sync: &tg_des::metrics::SyncProfile, events: u64) -> Self {
-        let sync_rounds = sync.candidate_rounds + sync.grant_rounds;
-        let protocol_events = events.saturating_sub(sync.serial_tail_events).max(1);
-        ScalingSync {
-            sync_rounds,
-            rounds_per_event: sync_rounds as f64 / events.max(1) as f64,
-            rounds_per_protocol_event: sync_rounds as f64 / protocol_events as f64,
-            candidate_rounds: sync.candidate_rounds,
-            grant_rounds: sync.grant_rounds,
-            bound_clamps: sync.bound_clamps,
-            interlude_messages: sync.interlude_messages,
-            batched_candidates: sync.batched_candidates,
-            governor_fired: sync.governor_fired,
-            serial_tail_events: sync.serial_tail_events,
-        }
-    }
-}
-
-/// Sharded-engine scaling on the large scenario (`tgsim run --threads N`).
-#[derive(Serialize)]
-struct ScalingSection {
-    scenario: String,
-    /// Product behaviour: default options (adaptive governor on).
-    rows: Vec<ScalingRow>,
-    /// Protocol measurement: governor off, so the batched-sync protocol
-    /// runs end to end even where the governor would fold (1-core hosts).
-    protocol_rows: Vec<ScalingRow>,
-    /// Every sharded run (both row sets) reproduced the serial job records.
-    identical: bool,
 }
 
 /// Memory budget for the million-user streaming run.
@@ -381,9 +314,6 @@ struct ThroughputOutput {
     faulted: Option<FaultedSection>,
     /// The large-scale datapoint (absent in `--quick` runs).
     large: Option<Section>,
-    /// Sharded-engine thread sweep on the large scenario (absent in
-    /// `--quick` runs).
-    scaling: Option<ScalingSection>,
     /// Million-user streaming run under the 2 GiB memory budget (absent in
     /// `--quick` runs).
     streaming: Option<StreamingSection>,
@@ -468,80 +398,6 @@ fn measure(cfg: ScenarioConfig, base_seed: u64, reps_n: usize) -> (Section, Vec<
         per_rep,
     };
     (section, reps)
-}
-
-/// Run the large scenario once per thread count and fold the results into
-/// the scaling section. `threads = 1` is the serial engine (the speedup
-/// denominator); every sharded run is checked against its job records.
-fn measure_scaling(cfg: ScenarioConfig, seed: u64, counts: &[usize]) -> ScalingSection {
-    use tg_core::{Governor, RunOptions};
-    let scenario = cfg.build();
-    let mut rows: Vec<ScalingRow> = Vec::new();
-    let mut protocol_rows: Vec<ScalingRow> = Vec::new();
-    let mut baseline: Option<tg_core::SimOutput> = None;
-    let mut identical = true;
-    let sweep = |threads: usize,
-                 governor: Governor,
-                 rows: &mut Vec<ScalingRow>,
-                 baseline: &mut Option<tg_core::SimOutput>,
-                 identical: &mut bool,
-                 serial_rate: Option<f64>| {
-        let mut opts = RunOptions::with_threads(threads);
-        opts.governor = governor;
-        let out = scenario.run_with(seed, &opts);
-        let p = &out.profile;
-        rows.push(ScalingRow {
-            threads,
-            events: p.events_delivered,
-            wall_seconds: p.wall_seconds,
-            events_per_sec: p.events_per_sec,
-            speedup: serial_rate.map_or(1.0, |s| p.events_per_sec / s),
-            sync: p
-                .sync
-                .as_ref()
-                .map(|s| ScalingSync::from_profile(s, p.events_delivered)),
-        });
-        match baseline {
-            None => *baseline = Some(out),
-            Some(base) => {
-                let same = out.events_delivered == base.events_delivered
-                    && out.end == base.end
-                    && out.db.jobs == base.db.jobs;
-                if !same {
-                    *identical = false;
-                    eprintln!("scaling: threads={threads} ({governor:?}) diverged from serial!");
-                }
-            }
-        }
-    };
-    for &threads in counts {
-        let serial_rate = rows.first().map(|r| r.events_per_sec);
-        sweep(
-            threads,
-            Governor::default(),
-            &mut rows,
-            &mut baseline,
-            &mut identical,
-            serial_rate,
-        );
-    }
-    let serial_rate = rows.first().map(|r| r.events_per_sec);
-    for &threads in counts.iter().filter(|&&t| t > 1 && t <= 4) {
-        sweep(
-            threads,
-            Governor::Off,
-            &mut protocol_rows,
-            &mut baseline,
-            &mut identical,
-            serial_rate,
-        );
-    }
-    ScalingSection {
-        scenario: scenario.config().name.clone(),
-        rows,
-        protocol_rows,
-        identical,
-    }
 }
 
 /// Run the million-user scenario through the streaming path (lazy
@@ -688,69 +544,6 @@ fn print_observability(s: &ObservabilitySection) {
     );
 }
 
-fn print_scaling(s: &ScalingSection) {
-    let row_cells = |r: &ScalingRow| {
-        let (rpe, rppe, clamps, gov) = match &r.sync {
-            Some(sy) => (
-                format!("{:.4}", sy.rounds_per_event),
-                format!("{:.4}", sy.rounds_per_protocol_event),
-                sy.bound_clamps.to_string(),
-                if sy.governor_fired {
-                    format!("fold@{}", r.events - sy.serial_tail_events)
-                } else {
-                    "-".to_string()
-                },
-            ),
-            None => ("-".into(), "-".into(), "-".into(), "-".into()),
-        };
-        vec![
-            r.threads.to_string(),
-            r.events.to_string(),
-            format!("{:.3}", r.wall_seconds),
-            format!("{:.0}", r.events_per_sec),
-            format!("{:.2}x", r.speedup),
-            rpe,
-            rppe,
-            clamps,
-            gov,
-        ]
-    };
-    let headers = [
-        "threads",
-        "events",
-        "wall s",
-        "events/s",
-        "speedup",
-        "sync/ev",
-        "sync/proto ev",
-        "clamps",
-        "governor",
-    ];
-    let mut table = Table::new(
-        format!("PERF (scaling): {} sharded thread sweep", s.scenario),
-        &headers,
-    );
-    for r in &s.rows {
-        table.row(row_cells(r));
-    }
-    println!("{table}");
-    let mut proto = Table::new(
-        format!(
-            "PERF (scaling): {} protocol rows (governor off)",
-            s.scenario
-        ),
-        &headers,
-    );
-    for r in &s.protocol_rows {
-        proto.row(row_cells(r));
-    }
-    println!("{proto}");
-    println!(
-        "scaling: sharded outputs {} the serial run",
-        if s.identical { "match" } else { "DIVERGE from" }
-    );
-}
-
 fn print_section(title: &str, s: &Section) {
     let mut table = Table::new(
         title.to_string(),
@@ -828,99 +621,6 @@ fn check_against(reference: &serde_json::Value, healthy: &Section) -> Vec<String
     failures
 }
 
-/// The sharded leg of the regression guard: if both the reference and the
-/// current run carry a scaling sweep, the best sharded rate must not drop
-/// below 85% of the reference's best, and the event count must match the
-/// reference exactly (determinism). Quick runs (no sweep) skip this leg.
-fn check_scaling(reference: &serde_json::Value, current: Option<&ScalingSection>) -> Vec<String> {
-    let mut failures = Vec::new();
-    let (Some(ref_rows), Some(cur)) = (
-        reference
-            .get("scaling")
-            .and_then(|s| s.get("rows"))
-            .and_then(|v| v.as_array()),
-        current,
-    ) else {
-        return failures;
-    };
-    let best = |rows: &mut dyn Iterator<Item = (u64, f64)>| {
-        rows.fold(
-            (0u64, 0.0f64),
-            |acc, (ev, r)| if r > acc.1 { (ev, r) } else { acc },
-        )
-    };
-    let (ref_events, ref_rate) = best(&mut ref_rows.iter().filter_map(|r| {
-        Some((
-            r.get("events")?.as_u64()?,
-            r.get("events_per_sec")?.as_f64()?,
-        ))
-    }));
-    let (cur_events, cur_rate) = best(&mut cur.rows.iter().map(|r| (r.events, r.events_per_sec)));
-    if ref_rate == 0.0 {
-        return failures;
-    }
-    if ref_events != cur_events {
-        failures.push(format!(
-            "sharded determinism drift: reference {ref_events} events vs current {cur_events}"
-        ));
-    }
-    if cur_rate < ref_rate * 0.85 {
-        failures.push(format!(
-            "sharded throughput regression: {cur_rate:.0} events/s < 85% of reference {ref_rate:.0}"
-        ));
-    }
-    // The phase-2 pin: the engine as shipped (governed rows) must hold the
-    // ≥10× sync-round cut over the PR 6 per-event protocol, whose measured
-    // floor on this scenario was 0.337 rounds/event.
-    const GOVERNED_ROUNDS_PER_EVENT_MAX: f64 = 0.0337;
-    for r in cur.rows.iter().filter(|r| r.threads > 1) {
-        let Some(rpe) = r.sync.as_ref().map(|s| s.rounds_per_event) else {
-            continue;
-        };
-        if rpe > GOVERNED_ROUNDS_PER_EVENT_MAX {
-            failures.push(format!(
-                "governed sync overhead at threads={}: {rpe:.4} rounds/event \
-                 > pinned {GOVERNED_ROUNDS_PER_EVENT_MAX}",
-                r.threads
-            ));
-        }
-    }
-    // Protocol-overhead trajectory: sync rounds per protocol-executed event
-    // on the governor-off rows must not creep past the committed reference
-    // by more than 20% at the same thread count.
-    if let Some(ref_proto) = reference
-        .get("scaling")
-        .and_then(|s| s.get("protocol_rows"))
-        .and_then(|v| v.as_array())
-    {
-        for r in ref_proto {
-            let (Some(threads), Some(ref_rpe)) = (
-                r.get("threads").and_then(|v| v.as_u64()),
-                r.get("sync")
-                    .and_then(|s| s.get("rounds_per_protocol_event"))
-                    .and_then(|v| v.as_f64()),
-            ) else {
-                continue;
-            };
-            let Some(cur_rpe) = cur
-                .protocol_rows
-                .iter()
-                .find(|c| c.threads as u64 == threads)
-                .and_then(|c| c.sync.as_ref().map(|s| s.rounds_per_protocol_event))
-            else {
-                continue;
-            };
-            if cur_rpe > ref_rpe * 1.2 {
-                failures.push(format!(
-                    "sync-protocol overhead regression at threads={threads}: \
-                     {cur_rpe:.4} rounds/protocol-event > 120% of reference {ref_rpe:.4}"
-                ));
-            }
-        }
-    }
-    failures
-}
-
 /// Every top-level key a `BENCH_throughput*.json` may carry. `--check`
 /// fails loudly on anything else: a section renamed or added without being
 /// registered here (and given a check leg) cannot silently pass the guard.
@@ -939,21 +639,13 @@ const KNOWN_KEYS: &[&str] = &[
     "per_rep",
     "faulted",
     "large",
-    "scaling",
     "streaming",
     "observability",
     "data",
 ];
 
 /// The optional sections; each must be present on both sides or neither.
-const SECTION_KEYS: &[&str] = &[
-    "faulted",
-    "large",
-    "scaling",
-    "streaming",
-    "observability",
-    "data",
-];
+const SECTION_KEYS: &[&str] = &["faulted", "large", "streaming", "observability", "data"];
 
 /// Strict section inventory: unknown reference keys fail, and a section
 /// present in the reference but missing from this run (or vice versa) fails
@@ -1125,8 +817,8 @@ fn main() {
         &healthy,
     );
 
-    let (faulted, large, scaling, streaming, observability, data) = if quick {
-        (None, None, None, None, None, None)
+    let (faulted, large, streaming, observability, data) = if quick {
+        (None, None, None, None, None)
     } else {
         let mut faulted_cfg = ScenarioConfig::baseline(users, days);
         faulted_cfg.faults = Some(faulted_spec());
@@ -1154,10 +846,6 @@ fn main() {
 
         let (lsec, _) = measure(ScenarioConfig::large(3000, 90), 9000, 1);
         print_section("PERF (large): 3000 users × 90 days", &lsec);
-
-        let ssec = measure_scaling(ScenarioConfig::large(3000, 90), 9000, &[1, 2, 4, 8]);
-        print_scaling(&ssec);
-        assert!(ssec.identical, "sharded runs must reproduce serial output");
 
         let msec = measure_streaming(1_000_000, 365, 9000);
         print_streaming(&msec);
@@ -1194,7 +882,6 @@ fn main() {
                 per_rep: fsec.per_rep,
             }),
             Some(lsec),
-            Some(ssec),
             Some(msec),
             Some(osec),
             Some(dsec),
@@ -1216,7 +903,6 @@ fn main() {
         per_rep: healthy.per_rep,
         faulted,
         large,
-        scaling,
         streaming,
         observability,
         data,
@@ -1238,7 +924,6 @@ fn main() {
         let produced = [
             ("faulted", out.faulted.is_some()),
             ("large", out.large.is_some()),
-            ("scaling", out.scaling.is_some()),
             ("streaming", out.streaming.is_some()),
             ("observability", out.observability.is_some()),
             ("data", out.data.is_some()),
@@ -1263,7 +948,6 @@ fn main() {
         };
         let mut failures = section_failures;
         failures.extend(check_against(&reference, &healthy_view));
-        failures.extend(check_scaling(&reference, out.scaling.as_ref()));
         failures.extend(check_streaming(&reference, out.streaming.as_ref()));
         failures.extend(check_observability(&reference, out.observability.as_ref()));
         failures.extend(check_data(&reference, out.data.as_ref()));

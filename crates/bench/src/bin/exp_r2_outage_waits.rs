@@ -76,7 +76,7 @@ fn outage_spec() -> FaultSpec {
 }
 
 fn measure(cfg: &ScenarioConfig, faulted: bool) -> Condition {
-    let reps = replicate_with(&cfg.clone().build(), 5000, REPS, 0, &RunOptions::default());
+    let reps = replicate_with(&cfg.clone().build(), 5000, REPS, &RunOptions::default());
     let mut waits = Vec::new();
     let mut utils = Vec::new();
     let mut jobs = 0usize;

@@ -35,7 +35,7 @@ fn main() {
     cfg.sample_interval = Some(SimDuration::from_hours(6));
     let population = cfg.workload.mix.users_per_modality;
     let scenario = cfg.build();
-    let reps = replicate_with(&scenario, 1000, 3, 0, &RunOptions::with_metrics());
+    let reps = replicate_with(&scenario, 1000, 3, &RunOptions::with_metrics());
 
     // Report on the first replication; use all for the share stability note.
     let out = &reps[0].output;

@@ -18,8 +18,9 @@
 //!    program would publish.
 //! 5. [`scenario`] — end-to-end assembly: config → federation + workload →
 //!    simulation → outputs.
-//! 6. [`runner`] — deterministic parallel replication (one thread per seed,
-//!    bit-identical results regardless of thread count).
+//! 6. [`runner`] — deterministic parallel replication: each run is one
+//!    serial event loop; replications and sweep cells run on worker
+//!    threads, bit-identical regardless of thread count.
 //!
 //! ```
 //! use tg_core::{classify_all, Accuracy, ClassifierMode, ScenarioConfig};
@@ -43,7 +44,6 @@
 
 pub mod accuracy;
 pub mod classify;
-mod parallel;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -54,12 +54,12 @@ pub use accuracy::{Accuracy, ConfusionMatrix};
 pub use classify::{classify_all, ClassifierMode};
 pub use report::{FieldShares, GatewayReach, MetricsReport, ModalityShares, UsageReport};
 pub use runner::{aggregate_profiles, replicate, replicate_with, run_sweep, Replication};
-pub use scenario::{Governor, RecordStreaming, RunOptions, Scenario, ScenarioConfig, SimOutput};
+pub use scenario::{RecordStreaming, RunOptions, Scenario, ScenarioConfig, SimOutput};
 pub use sim::{GridSim, StatsReport};
 
 // Observability types surfaced from the DES substrate.
 pub use survey::{run_survey, SurveyDesign, SurveyResult};
-pub use tg_des::metrics::{EngineProfile, MetricsSnapshot, SyncProfile};
+pub use tg_des::metrics::{EngineProfile, MetricsSnapshot};
 
 // Fault injection rides the scenario config; re-export the spec/report
 // types so experiment binaries need only tg-core.

@@ -2,10 +2,11 @@
 //!
 //! Experiments need confidence intervals, so every point is run at several
 //! seeds. Replications are embarrassingly parallel *between* runs and
-//! strictly sequential *within* one run — so results are bit-identical
-//! whatever the thread count. Threads are scoped (no detached state) and
-//! fan results back through a crossbeam channel; outputs are re-ordered by
-//! replication index before returning.
+//! strictly sequential *within* one run (a run is one serial event loop) —
+//! so results are bit-identical whatever the thread count. This is the
+//! only place the simulator uses threads. Threads are scoped (no detached
+//! state) and fan results back through a crossbeam channel; outputs are
+//! re-ordered by index before returning.
 
 use crate::scenario::{RunOptions, Scenario, SimOutput};
 use crossbeam::channel;
@@ -32,65 +33,41 @@ pub fn replicate(
     count: usize,
     threads: usize,
 ) -> Vec<Replication> {
-    replicate_with(scenario, base_seed, count, threads, &RunOptions::default())
+    let opts = RunOptions {
+        threads,
+        ..RunOptions::default()
+    };
+    replicate_with(scenario, base_seed, count, &opts)
 }
 
-/// [`replicate`] with observability options. Metrics are collected on every
-/// replication; the JSONL trace (if requested) is written by replication 0
-/// only — one representative trace rather than `count` interleaved files.
+/// [`replicate`] with observability options, on [`RunOptions::threads`]
+/// worker threads (clamped to `count`; 0 means one per available core).
+/// Metrics are collected on every replication; the JSONL trace (if
+/// requested) is written by replication 0 only — one representative trace
+/// rather than `count` interleaved files.
 pub fn replicate_with(
     scenario: &Scenario,
     base_seed: u64,
     count: usize,
-    threads: usize,
     opts: &RunOptions,
 ) -> Vec<Replication> {
     assert!(count > 0, "need at least one replication");
-    let workers = if threads == 0 {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(count)
-    } else {
-        threads.min(count)
-    };
-    let (task_tx, task_rx) = channel::unbounded::<usize>();
-    let (result_tx, result_rx) = channel::unbounded::<Replication>();
-    for i in 0..count {
-        task_tx.send(i).expect("channel open");
-    }
-    drop(task_tx);
-
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            scope.spawn(move || {
-                while let Ok(index) = task_rx.recv() {
-                    let seed = base_seed + index as u64;
-                    let rep_opts = RunOptions {
-                        trace_path: if index == 0 {
-                            opts.trace_path.clone()
-                        } else {
-                            None
-                        },
-                        ..opts.clone()
-                    };
-                    let output = scenario.run_with(seed, &rep_opts);
-                    result_tx
-                        .send(Replication {
-                            index,
-                            seed,
-                            output,
-                        })
-                        .expect("main thread alive");
-                }
-            });
+    let indices: Vec<usize> = (0..count).collect();
+    run_sweep(&indices, opts.threads, |index, _| {
+        let seed = base_seed + index as u64;
+        let rep_opts = RunOptions {
+            trace_path: if index == 0 {
+                opts.trace_path.clone()
+            } else {
+                None
+            },
+            ..opts.clone()
+        };
+        Replication {
+            index,
+            seed,
+            output: scenario.run_with(seed, &rep_opts),
         }
-        drop(result_tx);
-        let mut results: Vec<Replication> = result_rx.iter().collect();
-        results.sort_by_key(|r| r.index);
-        results
     })
 }
 
@@ -114,13 +91,11 @@ where
         return Vec::new();
     }
     let workers = if threads == 0 {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(points.len())
+        thread::available_parallelism().map_or(1, |n| n.get())
     } else {
-        threads.min(points.len())
-    };
+        threads
+    }
+    .min(points.len());
     if workers <= 1 {
         return points.iter().enumerate().map(|(i, p)| f(i, p)).collect();
     }
@@ -204,17 +179,84 @@ mod tests {
         cfg.build()
     }
 
+    /// Every deterministic field of two replications must match; the stats
+    /// reports are compared field by field so a mismatch names its path.
+    fn assert_same_replication(a: &Replication, b: &Replication, label: &str) {
+        assert_eq!((a.index, a.seed), (b.index, b.seed), "{label}: order");
+        let (a, b) = (&a.output, &b.output);
+        assert_eq!(a.events_delivered, b.events_delivered, "{label}: events");
+        assert_eq!(a.end, b.end, "{label}: end time");
+        assert_eq!(a.truth, b.truth, "{label}: truth");
+        assert_eq!(a.db.jobs, b.db.jobs, "{label}: job records");
+        assert_eq!(a.db.transfers, b.db.transfers, "{label}: transfers");
+        assert_eq!(a.db.sessions, b.db.sessions, "{label}: sessions");
+        assert_eq!(a.db.gateway_attrs, b.db.gateway_attrs, "{label}: gateway");
+        assert_eq!(a.db.rc_placements, b.db.rc_placements, "{label}: rc");
+        assert_eq!(a.samples, b.samples, "{label}: samples");
+        assert_eq!(a.site_stats, b.site_stats, "{label}: site stats");
+        assert_eq!(a.fault_report, b.fault_report, "{label}: fault report");
+        assert_eq!(a.data_report, b.data_report, "{label}: data report");
+        let (sa, sb) = (a.stats.as_ref(), b.stats.as_ref());
+        let sa = sa.unwrap_or_else(|| panic!("{label}: live stats on"));
+        let sb = sb.unwrap_or_else(|| panic!("{label}: live stats on"));
+        if let Some(d) = sa.first_divergence(sb) {
+            panic!("{label}: stats diverge at {d}");
+        }
+    }
+
+    /// A site outage with no notice under the default retry policy: the
+    /// kill → requeue path, on machines small enough to queue.
+    fn faulted() -> Scenario {
+        let mut cfg = ScenarioConfig::baseline(120, 6);
+        for s in &mut cfg.sites {
+            s.batch_nodes = (s.batch_nodes / 4).max(16);
+        }
+        cfg.faults = Some(crate::FaultSpec {
+            site_outages: vec![crate::OutageWindow {
+                site: 1,
+                start_hours: 30.0,
+                duration_hours: 12.0,
+                notice_hours: 0.0,
+            }],
+            retry: Some(tg_sched::RetryPolicy::default()),
+            ..crate::FaultSpec::default()
+        });
+        cfg.build()
+    }
+
+    /// Replication parallelism never changes a byte: thread counts are
+    /// passed explicitly, so the check is the same on every host.
     #[test]
     fn parallel_equals_sequential() {
-        let s = tiny();
-        let par = replicate(&s, 100, 4, 4);
-        let seq = replicate(&s, 100, 4, 1);
-        assert_eq!(par.len(), 4);
-        for (a, b) in par.iter().zip(&seq) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.output.db.jobs, b.output.db.jobs);
-            assert_eq!(a.output.end, b.output.end);
+        let cases = [
+            ("tiny", tiny(), 100),
+            ("faulted", faulted(), 4242),
+            ("datagrid", ScenarioConfig::datagrid(120, 7).build(), 100),
+        ];
+        for (name, scenario, seed) in &cases {
+            let run = |threads: usize| {
+                let opts = RunOptions {
+                    live_stats: true,
+                    threads,
+                    ..RunOptions::default()
+                };
+                replicate_with(scenario, *seed, 4, &opts)
+            };
+            let seq = run(1);
+            assert_eq!(seq.len(), 4);
+            if *name == "faulted" {
+                let fr = seq[0].output.fault_report.as_ref().expect("faults ran");
+                assert!(fr.jobs_killed > 0, "outage killed running work: {fr:?}");
+                let stats = seq[0].output.stats.as_ref().expect("live stats on");
+                assert!(stats.spans.by_kind.contains_key("requeue"));
+            }
+            for threads in [2, 4] {
+                let par = run(threads);
+                assert_eq!(par.len(), 4);
+                for (a, b) in par.iter().zip(&seq) {
+                    assert_same_replication(a, b, &format!("{name} threads={threads}"));
+                }
+            }
         }
     }
 
@@ -231,7 +273,11 @@ mod tests {
     #[test]
     fn replicate_with_metrics_collects_everywhere() {
         let s = tiny();
-        let reps = replicate_with(&s, 5, 2, 2, &RunOptions::with_metrics());
+        let opts = RunOptions {
+            threads: 2,
+            ..RunOptions::with_metrics()
+        };
+        let reps = replicate_with(&s, 5, 2, &opts);
         assert_eq!(reps.len(), 2);
         for r in &reps {
             let snap = r.output.metrics.as_ref().expect("metrics on");

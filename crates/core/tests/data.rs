@@ -3,11 +3,11 @@
 //! The tg-data layer (datasets, replica catalog, per-site LRU caches, WAN
 //! fetch events) must be *inert by construction* when no datasets are
 //! configured — byte-identical to a build without the crate — and fully
-//! deterministic when they are: the same bytes at any `--threads N` and
+//! deterministic when they are: the same bytes on every run of a seed and
 //! under streaming generation, because the catalog and caches are only ever
-//! touched from the coordinator-side routing path. This suite enforces
-//! both, checks the locality-aware metascheduler actually wins on WAN bytes
-//! moved, and property-tests conservation invariants over random catalogs.
+//! touched from the routing path. This suite enforces both, checks the
+//! locality-aware metascheduler actually wins on WAN bytes moved, and
+//! property-tests conservation invariants over random catalogs.
 
 use std::collections::BTreeMap;
 
@@ -101,24 +101,20 @@ fn trivial_data_spec_is_byte_identical_to_none() {
     assert_same_simulation(&a, &b, "trivial-vs-none");
 }
 
-/// The datasets run itself: sharded execution at several thread counts must
-/// reproduce the serial bytes exactly, including the data report — the
-/// catalog and caches live on the coordinator, so shard count can never
-/// reorder accesses.
+/// The datasets run itself reproduces its bytes exactly at the same seed,
+/// including the data report.
 #[test]
-fn datasets_run_is_identical_at_any_thread_count() {
+fn datasets_run_is_deterministic() {
     let scenario = datagrid(120, 7).build();
-    let serial = scenario.run_with(23, &RunOptions::default());
-    let report = serial.data_report.as_ref().expect("data grid ran");
+    let first = scenario.run_with(23, &RunOptions::default());
+    let report = first.data_report.as_ref().expect("data grid ran");
     assert!(report.accesses > 0, "no dataset accesses: {report:?}");
     assert!(
         report.hits > 0 && report.misses > 0,
         "want a mix: {report:?}"
     );
-    for threads in [2, 4] {
-        let sharded = scenario.run_with(23, &RunOptions::with_threads(threads));
-        assert_same_simulation(&serial, &sharded, &format!("threads={threads}"));
-    }
+    let again = scenario.run_with(23, &RunOptions::default());
+    assert_same_simulation(&first, &again, "same seed");
 }
 
 /// Streaming generation must not perturb a datasets run: the dataset draw
@@ -136,14 +132,6 @@ fn streaming_generation_matches_materialized_with_datasets() {
         },
     );
     assert_same_simulation(&materialized, &streamed, "stream-vs-materialized");
-    let sharded_streamed = scenario.run_with(
-        31,
-        &RunOptions {
-            stream_gen: true,
-            ..RunOptions::with_threads(4)
-        },
-    );
-    assert_same_simulation(&materialized, &sharded_streamed, "stream+threads=4");
 }
 
 /// The live-stats sketches must agree with the data report on hit/miss
@@ -192,10 +180,9 @@ fn locality_aware_routing_beats_locality_blind() {
     );
 }
 
-/// Conservation and determinism over random catalogs: for any valid spec,
-/// hits + misses == accesses, the per-site breakdown sums to the totals,
-/// WAN bytes are a whole number of dataset fetches, and a 2-thread run
-/// reproduces the serial bytes.
+/// Conservation over random catalogs: for any valid spec, hits + misses ==
+/// accesses, the per-site breakdown sums to the totals, and WAN bytes are a
+/// whole number of dataset fetches.
 fn catalog_strategy() -> impl Strategy<Value = DataGridSpec> {
     // Replica placement as a non-empty bitmask over the three sites.
     let dataset = (100.0f64..3_000.0, 1u8..8).prop_map(|(size_mb, mask)| DatasetSpec {
@@ -255,10 +242,5 @@ proptest! {
         let max = spec.datasets.iter().map(|d| d.size_mb).fold(0.0, f64::max);
         prop_assert!(report.wan_mb >= report.misses as f64 * min - 1e-6);
         prop_assert!(report.wan_mb <= report.misses as f64 * max + 1e-6);
-        let sharded = scenario.run_with(seed, &RunOptions::with_threads(2));
-        prop_assert_eq!(&serial.db.jobs, &sharded.db.jobs);
-        prop_assert_eq!(&serial.db.transfers, &sharded.db.transfers);
-        prop_assert_eq!(serial.end, sharded.end);
-        prop_assert_eq!(&serial.data_report, &sharded.data_report);
     }
 }

@@ -113,8 +113,8 @@ fn several_seeds_are_identical_streamed() {
     }
 }
 
-/// `--threads N` with streaming falls back to the serial streaming path
-/// (with a warning) — outputs still identical.
+/// A single run ignores `threads` (it sizes replication workers only), so a
+/// streamed run with `threads: 4` is still the one serial event loop.
 #[test]
 fn streaming_ignores_thread_count() {
     let cfg = ScenarioConfig::baseline(60, 4);
@@ -126,7 +126,7 @@ fn streaming_ignores_thread_count() {
         ..RunOptions::default()
     };
     let streamed = scenario.run_with(5, &opts);
-    assert_identical(&serial, &streamed, "threads=4 fallback");
+    assert_identical(&serial, &streamed, "threads=4");
 }
 
 /// Record-sink diversion: the tally must agree exactly with what a retained

@@ -1,11 +1,12 @@
 //! Online-observability differential suite.
 //!
 //! The live-stats layer (`crates/des/src/sketch.rs`, `crates/des/src/series.rs`,
-//! wired through `GridSim` and the sharded engine) is an *observer*: enabling
-//! it must not change a single byte of simulation output, and the report it
-//! produces must itself be byte-identical at any `--threads N`. This suite
-//! enforces both, and cross-checks the online sketches against the offline
-//! trace analyzer within the sketch's documented error bound.
+//! wired through `GridSim`) is an *observer*: enabling it must not change a
+//! single byte of simulation output, and the report it produces must itself
+//! be a pure function of `(config, seed)`. This suite enforces both, and
+//! cross-checks the online sketches against the offline trace analyzer
+//! within the sketch's documented error bound. Thread-count invariance is a
+//! replication-level property, checked in `runner.rs`.
 
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -19,10 +20,9 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tg-obs-{tag}-{}.jsonl", std::process::id()))
 }
 
-fn observed(threads: usize) -> RunOptions {
+fn observed() -> RunOptions {
     RunOptions {
         live_stats: true,
-        threads,
         ..RunOptions::default()
     }
 }
@@ -46,80 +46,19 @@ fn live_stats_never_perturb_serial_results() {
     let cfg = ScenarioConfig::baseline(120, 7);
     let scenario = cfg.build();
     let plain = scenario.run_with(11, &RunOptions::default());
-    let obs = scenario.run_with(11, &observed(0));
+    let obs = scenario.run_with(11, &observed());
     assert!(plain.stats.is_none(), "unobserved run grew a stats report");
     let stats = obs.stats.as_ref().expect("observed run reports stats");
     assert!(stats.spans.spans > 0, "no spans recorded");
     assert_same_simulation(&plain, &obs, "serial observed-vs-not");
-}
-
-#[test]
-fn live_stats_never_perturb_sharded_results() {
-    let cfg = ScenarioConfig::baseline(120, 7);
-    let scenario = cfg.build();
-    let plain = scenario.run_with(11, &RunOptions::with_threads(4));
-    let obs = scenario.run_with(11, &observed(4));
-    assert!(obs.stats.is_some(), "sharded observed run reports stats");
-    assert_same_simulation(&plain, &obs, "sharded observed-vs-not");
-}
-
-/// The stats report itself — sketch tables *and* the f64 series rows — must
-/// be byte-identical at every thread count: per-shard books merge with
-/// element-wise integer adds, and each series site column has exactly one
-/// writer, summed in site-index order.
-#[test]
-fn stats_report_is_identical_at_any_thread_count() {
-    let mut cfg = ScenarioConfig::baseline(120, 7);
-    cfg.sites[0].batch_nodes = 64;
-    let scenario = cfg.build();
-    let serial = scenario.run_with(23, &observed(0));
-    let want = serial.stats.as_ref().expect("serial stats");
-    assert!(want.spans.spans > 0 && !want.series.rows.is_empty());
-    for threads in [2, 3, 4, 8] {
-        let sharded = scenario.run_with(23, &observed(threads));
-        let got = sharded.stats.as_ref().expect("sharded stats");
-        assert_eq!(want, got, "stats diverged at threads={threads}");
-        assert_same_simulation(&serial, &sharded, &format!("threads={threads}"));
-    }
-}
-
-/// Faults exercise the kill → requeue span path, whose sharded phase-start
-/// bookkeeping (`killed_at` riding `Event::Requeue`) must agree with the
-/// serial tracker exactly.
-#[test]
-fn stats_report_survives_faults_at_any_thread_count() {
-    let mut cfg = ScenarioConfig::baseline(120, 6);
-    for s in &mut cfg.sites {
-        s.batch_nodes = (s.batch_nodes / 4).max(16);
-    }
-    cfg.faults = Some(tg_core::FaultSpec {
-        site_outages: vec![tg_core::OutageWindow {
-            site: 1,
-            start_hours: 30.0,
-            duration_hours: 12.0,
-            notice_hours: 0.0,
-        }],
-        retry: Some(tg_sched::RetryPolicy::default()),
-        ..tg_core::FaultSpec::default()
-    });
-    let scenario = cfg.build();
-    let serial = scenario.run_with(4242, &observed(0));
-    let fr = serial.fault_report.as_ref().expect("faults ran");
-    assert!(fr.jobs_killed > 0, "outage killed running work: {fr:?}");
-    let want = serial.stats.as_ref().expect("serial stats");
-    assert!(
-        want.spans.by_kind.contains_key("requeue"),
-        "kill path produced requeue spans: {:?}",
-        want.spans.by_kind.keys().collect::<Vec<_>>()
+    // The report itself repeats exactly at the same seed.
+    let again = scenario.run_with(11, &observed());
+    let again = again.stats.as_ref().expect("observed run reports stats");
+    assert_eq!(
+        stats.first_divergence(again),
+        None,
+        "same seed, same report"
     );
-    for threads in [2, 4] {
-        let sharded = scenario.run_with(4242, &observed(threads));
-        assert_eq!(
-            want,
-            sharded.stats.as_ref().expect("sharded stats"),
-            "stats diverged at threads={threads}"
-        );
-    }
 }
 
 /// Acceptance cross-check: run once with both the JSONL trace and the online

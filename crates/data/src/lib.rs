@@ -19,8 +19,8 @@
 //! Everything is deterministic: the LRU order is driven by a monotone access
 //! tick (no wall clock, no hashing), the fetch source is chosen by
 //! `(transfer_time, site id)` with a total order, and the layer is only ever
-//! touched from the routing path — which runs on the coordinator thread in
-//! sharded runs — so `--threads N` cannot reorder accesses. When no datasets
+//! touched from the routing path of the run's single event loop, so accesses
+//! happen in event order. When no datasets
 //! are configured the layer is never constructed and the simulation is
 //! byte-identical to a build without this crate.
 

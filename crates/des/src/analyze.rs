@@ -406,8 +406,8 @@ mod tests {
     /// Two identically-fed analyzers must agree *bit for bit* — with a
     /// hashed job registry each instance gets its own random iteration
     /// order, and the non-associative f64 wait fold diverges in the last
-    /// bits (the sharded-run differential suite compares these outputs
-    /// byte-for-byte, so "last bits" means failures).
+    /// bits (determinism checks compare these outputs byte-for-byte, so
+    /// "last bits" means failures).
     #[test]
     fn job_aggregation_is_iteration_order_independent() {
         let build = || {

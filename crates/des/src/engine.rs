@@ -30,28 +30,6 @@ use std::collections::{BinaryHeap, VecDeque};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventKey(u64);
 
-impl EventKey {
-    /// Wrap a shard-queue counter as a key (see [`crate::shard::RankQueue`]).
-    /// Shard keys live in a different keyspace than engine keys; a key is
-    /// only ever presented back to the queue that issued it.
-    pub(crate) fn from_raw_shard(v: u64) -> Self {
-        EventKey(v)
-    }
-
-    /// The raw counter behind a shard-issued key.
-    pub(crate) fn raw_shard(self) -> u64 {
-        self.0
-    }
-
-    /// A key that never matches a scheduled event. Cancelling it is a no-op.
-    /// Used by contexts that forward an event elsewhere (e.g. a sharded
-    /// coordinator routing into another participant's queue) but still owe
-    /// the caller a key.
-    pub fn placeholder() -> Self {
-        EventKey(u64::MAX)
-    }
-}
-
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
@@ -63,18 +41,16 @@ struct Scheduled<E> {
 /// Seqs are allocated 0, 1, 2, … for the engine's lifetime, so a bitmap
 /// beats a `HashSet<u64>`: membership flips on the delivery hot path touch
 /// one cache line instead of hashing into a table that grows to tens of
-/// megabytes on multi-million-event runs. Shared with the shard queue's
-/// fused serial tail ([`crate::shard::RankQueue::fuse_serial`]), which
-/// adopts the same seq discipline.
+/// megabytes on multi-million-event runs.
 #[derive(Debug, Default)]
-pub(crate) struct SeqSet {
+struct SeqSet {
     bits: Vec<u64>,
     len: usize,
 }
 
 impl SeqSet {
     #[inline]
-    pub(crate) fn insert(&mut self, seq: u64) -> bool {
+    fn insert(&mut self, seq: u64) -> bool {
         let (word, bit) = ((seq / 64) as usize, seq % 64);
         if word >= self.bits.len() {
             self.bits.resize(word + 1, 0);
@@ -92,7 +68,7 @@ impl SeqSet {
     /// Insert every seq in `[start, end)`. Used when a stream source
     /// reserves its sequence block up front so `pending` stays exact while
     /// the events themselves are still unpulled.
-    pub(crate) fn insert_range(&mut self, start: u64, end: u64) {
+    fn insert_range(&mut self, start: u64, end: u64) {
         for seq in start..end {
             self.insert(seq);
         }
@@ -100,7 +76,7 @@ impl SeqSet {
 
     /// Remove `seq`, reporting whether it was present.
     #[inline]
-    pub(crate) fn remove(&mut self, seq: u64) -> bool {
+    fn remove(&mut self, seq: u64) -> bool {
         let (word, bit) = ((seq / 64) as usize, seq % 64);
         let Some(w) = self.bits.get_mut(word) else {
             return false;
@@ -116,7 +92,7 @@ impl SeqSet {
     }
 
     #[inline]
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 }

@@ -122,7 +122,7 @@ impl AllocDelta {
 
 /// Bytes currently live through [`CountingAlloc`] (0 when not installed).
 /// Exact across threads: every thread's allocations and frees go through
-/// the same global counters, so shard-worker traffic is attributed to the
+/// the same global counters, so worker-thread traffic is attributed to the
 /// run without double-counting.
 pub fn current_in_use_bytes() -> i64 {
     IN_USE_BYTES.load(Ordering::Relaxed)

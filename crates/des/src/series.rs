@@ -9,18 +9,8 @@
 //! depth are exact time-weighted means computed by trapezoid-free area
 //! integration of piecewise-constant gauges (the gauges only change at
 //! events, so rectangles are exact).
-//!
-//! # Sharded determinism
-//!
-//! The sharded engine partitions *sites* across shards, and every gauge
-//! column here is per-site: a site's busy/queued gauges are only ever
-//! written by the participant that executes that site's events, in that
-//! site's serial event order. Global counters are split the same way
-//! (submissions on the coordinator, starts/stops on the owning shard), so a
-//! merge is element-wise addition of disjoint writers. Snapshot rows then
-//! sum site columns in site-index order — a fixed order independent of
-//! thread count — which is why an observed sharded run reports
-//! byte-identical series at any `--threads N`.
+//! Snapshot rows sum site columns in site-index order, so a run's series is
+//! a pure function of its event sequence.
 
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +23,6 @@ struct SiteTrack {
     busy: f64,
     queued: f64,
     last_us: u64,
-    touched: bool,
     busy_area: Vec<f64>,
     queue_area: Vec<f64>,
 }
@@ -44,7 +33,6 @@ impl SiteTrack {
             busy: 0.0,
             queued: 0.0,
             last_us: 0,
-            touched: false,
             busy_area: Vec::new(),
             queue_area: Vec::new(),
         }
@@ -202,12 +190,10 @@ impl WindowedSeries {
         if !self.enabled || site >= self.sites.len() {
             return;
         }
-        let t = self.sites[site].touched;
         let track = &mut self.sites[site];
         track.integrate(self.bucket_us, now.as_micros());
         track.busy = busy;
         track.queued = queued;
-        track.touched = t || busy != 0.0 || queued != 0.0;
     }
 
     /// Integrate every site's gauges forward to `now` without changing them.
@@ -218,56 +204,6 @@ impl WindowedSeries {
         let us = now.as_micros();
         for track in &mut self.sites {
             track.integrate(self.bucket_us, us);
-        }
-    }
-
-    /// Merge a disjoint-writer partition of the same run (sharded join).
-    /// Panics if both partitions wrote the same site gauge — site columns
-    /// have exactly one writer by construction.
-    pub fn merge_from(&mut self, other: &WindowedSeries) {
-        if !other.enabled {
-            return;
-        }
-        assert!(self.enabled, "merging into a disabled series");
-        assert_eq!(self.bucket_us, other.bucket_us, "series bucket mismatch");
-        assert_eq!(self.sites.len(), other.sites.len(), "series site mismatch");
-        fn add_u64(mine: &mut Vec<u64>, theirs: &[u64]) {
-            if mine.len() < theirs.len() {
-                mine.resize(theirs.len(), 0);
-            }
-            for (a, b) in mine.iter_mut().zip(theirs.iter()) {
-                *a += *b;
-            }
-        }
-        add_u64(&mut self.submitted, &other.submitted);
-        add_u64(&mut self.started, &other.started);
-        add_u64(&mut self.completed, &other.completed);
-        if self.active_delta.len() < other.active_delta.len() {
-            self.active_delta.resize(other.active_delta.len(), 0);
-        }
-        for (a, b) in self.active_delta.iter_mut().zip(other.active_delta.iter()) {
-            *a += *b;
-        }
-        for (mine, theirs) in self.sites.iter_mut().zip(other.sites.iter()) {
-            if mine.busy_area.len() < theirs.busy_area.len() {
-                mine.busy_area.resize(theirs.busy_area.len(), 0.0);
-                mine.queue_area.resize(theirs.queue_area.len(), 0.0);
-            }
-            for (a, b) in mine.busy_area.iter_mut().zip(theirs.busy_area.iter()) {
-                *a += *b;
-            }
-            for (a, b) in mine.queue_area.iter_mut().zip(theirs.queue_area.iter()) {
-                *a += *b;
-            }
-            if theirs.touched {
-                assert!(!mine.touched, "two series writers for one site");
-                mine.busy = theirs.busy;
-                mine.queued = theirs.queued;
-                mine.touched = true;
-            }
-            if theirs.last_us > mine.last_us {
-                mine.last_us = theirs.last_us;
-            }
         }
     }
 
@@ -309,8 +245,7 @@ impl WindowedSeries {
     }
 
     /// Hand out rows for buckets that closed strictly before `now`, for the
-    /// live sink. Cheap when no boundary has passed (one compare). Only the
-    /// serial engine drains; sharded runs snapshot at join instead.
+    /// live sink. Cheap when no boundary has passed (one compare).
     pub fn drain_closed(&mut self, now: SimTime) -> Vec<SeriesRow> {
         if now.as_micros() < self.next_emit_us {
             return Vec::new();
@@ -525,44 +460,5 @@ mod tests {
         let mut clone = s.clone();
         let snap = clone.snapshot(SimTime::from_secs(8_000));
         assert_eq!(rows[0], snap.rows[0]);
-    }
-
-    #[test]
-    fn merge_of_disjoint_writers_matches_single_writer() {
-        let bucket = SimDuration::from_hours(1);
-        let cores = [8.0, 4.0];
-        let mut whole = WindowedSeries::enabled(bucket, &cores);
-        whole.on_submit(SimTime::from_secs(100));
-        whole.set_site(0, SimTime::from_secs(100), 3.0, 1.0);
-        whole.set_site(1, SimTime::from_secs(200), 2.0, 0.0);
-        whole.on_start(SimTime::from_secs(100));
-        whole.on_start(SimTime::from_secs(200));
-        whole.advance_to(SimTime::from_secs(5_000));
-
-        let mut coord = WindowedSeries::enabled(bucket, &cores);
-        coord.on_submit(SimTime::from_secs(100));
-        let mut shard_a = WindowedSeries::enabled(bucket, &cores);
-        shard_a.set_site(0, SimTime::from_secs(100), 3.0, 1.0);
-        shard_a.on_start(SimTime::from_secs(100));
-        shard_a.advance_to(SimTime::from_secs(5_000));
-        let mut shard_b = WindowedSeries::enabled(bucket, &cores);
-        shard_b.set_site(1, SimTime::from_secs(200), 2.0, 0.0);
-        shard_b.on_start(SimTime::from_secs(200));
-        shard_b.advance_to(SimTime::from_secs(5_000));
-
-        coord.merge_from(&shard_a);
-        coord.merge_from(&shard_b);
-        let end = SimTime::from_secs(7_000);
-        assert_eq!(coord.snapshot(end), whole.snapshot(end));
-    }
-
-    #[test]
-    #[should_panic(expected = "two series writers")]
-    fn merge_rejects_double_writers() {
-        let bucket = SimDuration::from_hours(1);
-        let mut a = WindowedSeries::enabled(bucket, &[4.0]);
-        a.set_site(0, SimTime::from_secs(1), 1.0, 0.0);
-        let b = a.clone();
-        a.merge_from(&b);
     }
 }

@@ -12,11 +12,12 @@
 //!
 //! # Why a counting sketch and not a t-digest / KLL
 //!
-//! The sharded engine merges per-shard observability state at join, and the
-//! repo's contract is *byte-identical output at any `--threads N`*. Rank
-//! sketches like t-digest and KLL compress adaptively, so their merged state
-//! depends on insertion and merge order — two shard partitions of the same
-//! stream produce different centroids, and byte-determinism is lost. A
+//! Sketches built over parts of a span stream (replications, sweep cells,
+//! per-process shares of one analysis) must pool into exactly the sketch of
+//! the whole stream, or byte-determinism is lost. Rank sketches like
+//! t-digest and KLL compress adaptively, so their merged state depends on
+//! insertion and merge order — two partitions of the same stream produce
+//! different centroids. A
 //! fixed-layout counting sketch has none of that freedom: every value maps
 //! to one predetermined bin, merge is element-wise `u64` addition, and
 //! therefore merge is **exactly** associative, commutative, and

@@ -6,9 +6,9 @@
 //!    fixed bin layout, so it must be *exactly* associative, commutative,
 //!    and partition-invariant — merge-then-query equals query-on-pooled
 //!    data bit for bit. These are `assert_eq!` on whole sketches, no
-//!    tolerance. This is the property that makes the sharded engine's
-//!    per-shard books byte-identical at any `--threads N`, and it is
-//!    precisely what adaptive rank sketches (t-digest, KLL) cannot offer.
+//!    tolerance. This is the property that lets books built over parts of
+//!    a span stream pool byte-identically, and it is precisely what
+//!    adaptive rank sketches (t-digest, KLL) cannot offer.
 //!
 //! 2. **Analytic, bounded.** Reported quantiles stay within the documented
 //!    [`RELATIVE_ERROR`] of exact sorted-sample quantiles on uniform,
@@ -124,9 +124,8 @@ fn merge_is_exactly_associative() {
 }
 
 /// Merge-then-query ≡ query-then-pool, for *any* partition of the stream:
-/// splitting the observations across k sketches (as the sharded engine
-/// splits spans across shards) and merging yields the whole-stream sketch
-/// bit for bit — so every query answer is identical too.
+/// splitting the observations across k sketches and merging yields the
+/// whole-stream sketch bit for bit — so every query answer is identical too.
 #[test]
 fn any_partition_merges_to_the_whole_stream_sketch() {
     for seed in 1..=10u64 {
@@ -204,7 +203,7 @@ fn quantiles_within_bound_on_many_random_seeds() {
 }
 
 /// The keyed book inherits partition invariance slot-wise: splitting spans
-/// across books (as shards do) and merging equals the book that saw the
+/// across books and merging equals the book that saw the
 /// whole stream, including its pooled/snapshot views.
 #[test]
 fn sketchbook_partition_invariance_across_keys() {

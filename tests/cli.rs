@@ -316,34 +316,64 @@ fn live_stats_streams_buckets_and_lands_in_the_summary() {
         "streamed rows == snapshot rows"
     );
 
-    // Bare --live-stats works sharded, and the report is byte-identical to
-    // the serial one (per-shard sketches merge exactly).
-    let sharded = tgsim()
-        .args([
-            "run",
-            scen.to_str().expect("utf8"),
-            "--seed",
-            "3",
-            "--live-stats",
-            "--threads",
-            "4",
-        ])
-        .output()
-        .expect("sharded run");
-    assert!(
-        sharded.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&sharded.stderr)
+    // Replications run on worker threads, and every byte of the summary
+    // but the thread count is the same at any --threads.
+    let reps_at = |threads: &str| {
+        let out = dir.join(format!("reps-t{threads}.json"));
+        let run = tgsim()
+            .args([
+                "run",
+                scen.to_str().expect("utf8"),
+                "--seed",
+                "3",
+                "--live-stats",
+                "--reps",
+                "2",
+                "--threads",
+                threads,
+                "--out",
+                out.to_str().expect("utf8 path"),
+            ])
+            .output()
+            .expect("replicated run");
+        assert!(
+            run.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&run.stdout).into_owned();
+        let live = stdout
+            .lines()
+            .find(|l| l.starts_with("live stats:"))
+            .expect("live stats line")
+            .to_string();
+        let mut summary: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&out).expect("summary written"))
+                .expect("summary is JSON");
+        assert_eq!(summary["threads"], threads.parse::<u64>().expect("count"));
+        if let serde_json::Value::Map(fields) = &mut summary {
+            fields.retain(|(k, _)| k != "threads");
+        }
+        (live, summary)
+    };
+    let (serial_line, serial_summary) = reps_at("1");
+    let (threaded_line, threaded_summary) = reps_at("2");
+    assert_eq!(
+        serial_line, threaded_line,
+        "live stats diverge across threads"
     );
-    let sharded_stdout = String::from_utf8_lossy(&sharded.stdout);
-    let sharded_line = sharded_stdout
-        .lines()
-        .find(|l| l.starts_with("live stats:"))
-        .expect("sharded live stats line");
-    assert_eq!(live_line, sharded_line, "live stats diverge under sharding");
+    assert_eq!(
+        live_line, serial_line,
+        "replication 0 reports the seed-3 run"
+    );
+    assert!(
+        serial_summary == threaded_summary,
+        "--reps 2 summaries differ between --threads 1 and --threads 2"
+    );
+    assert_eq!(serial_summary["replications"], 2u64);
 
-    // --live-stats=FILE is serial-only: multiple replications would clobber
-    // the one file, so the combination is refused.
+    // --live-stats=FILE supports one replication: more would clobber the
+    // one file, so the combination is refused.
     let conflict = tgsim()
         .args([
             "run",
