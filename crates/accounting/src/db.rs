@@ -1,15 +1,15 @@
 //! The central accounting database (in-memory).
 //!
 //! Sites stream records upstream; the database stores them append-only and
-//! serves the aggregation queries in [`crate::query`]. Indexes are built
-//! lazily by the queries themselves — at our scales (≤ millions of records)
-//! full scans are cheap and keep ingestion allocation-free.
+//! serves the aggregation queries in [`crate::query`]. Ingestion keeps no
+//! index, so it stays a plain push. A query that looks records up by job or
+//! user builds its own index once per call: a full scan per lookup makes the
+//! query quadratic, and at millions of records that dominates a study.
 
 use crate::record::{
     GatewayAttribute, JobRecord, RcPlacementRecord, SessionRecord, TransferRecord,
 };
 use serde::{Deserialize, Serialize};
-use tg_workload::JobId;
 
 /// The federation's accounting store.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -71,16 +71,6 @@ impl AccountingDb {
         self.len() == 0
     }
 
-    /// Does `job` carry a gateway attribute?
-    pub fn has_gateway_attr(&self, job: JobId) -> bool {
-        self.gateway_attrs.iter().any(|a| a.job == job)
-    }
-
-    /// Does `job` have an RC placement record?
-    pub fn rc_placement_of(&self, job: JobId) -> Option<&RcPlacementRecord> {
-        self.rc_placements.iter().find(|p| p.job == job)
-    }
-
     /// Merge another database into this one (parallel replication fan-in).
     pub fn merge(&mut self, other: AccountingDb) {
         self.jobs.extend(other.jobs);
@@ -96,7 +86,7 @@ mod tests {
     use super::*;
     use tg_des::{SimDuration, SimTime};
     use tg_model::{ConfigId, NodeId, SiteId};
-    use tg_workload::{GatewayId, ProjectId, SubmitInterface, UserId};
+    use tg_workload::{GatewayId, JobId, ProjectId, SubmitInterface, UserId};
 
     fn job(id: usize) -> JobRecord {
         JobRecord {
@@ -136,10 +126,11 @@ mod tests {
             deadline_met: None,
         });
         assert_eq!(db.len(), 3);
-        assert!(db.has_gateway_attr(JobId(1)));
-        assert!(!db.has_gateway_attr(JobId(2)));
-        assert!(db.rc_placement_of(JobId(1)).unwrap().reused);
-        assert!(db.rc_placement_of(JobId(9)).is_none());
+        assert_eq!(db.jobs[0].job, JobId(1));
+        assert_eq!(db.gateway_attrs[0].job, JobId(1));
+        assert_eq!(db.gateway_attrs[0].end_user, 42);
+        assert_eq!(db.rc_placements[0].job, JobId(1));
+        assert!(db.rc_placements[0].reused);
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! [`UserSummary`] is its feature vector).
 
 use crate::db::AccountingDb;
-use crate::record::JobRecord;
+use crate::record::{JobRecord, SessionRecord, TransferRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use tg_des::SimDuration;
 #[cfg(test)]
 use tg_des::SimTime;
-use tg_workload::{SubmitInterface, UserId};
+use tg_workload::{JobId, SubmitInterface, UserId};
 
 /// Generic group-by-and-sum. Returns a deterministic (ordered) map.
 pub fn sum_by<K: Ord, T>(
@@ -90,22 +90,43 @@ pub struct UserSummary {
     pub transfer_mb: f64,
 }
 
+/// One user's records, each stream in database order.
+#[derive(Default)]
+struct UserRecords<'a> {
+    jobs: Vec<&'a JobRecord>,
+    sessions: Vec<&'a SessionRecord>,
+    transfers: Vec<&'a TransferRecord>,
+}
+
 /// Build summaries for every user appearing in the database, ordered by id.
+///
+/// Linear in records: one pass groups each stream by user (keeping database
+/// order, so every f64 sum adds the same terms in the same order as a
+/// per-user scan would) and gateway membership is one set lookup per job.
 pub fn user_summaries(db: &AccountingDb) -> Vec<UserSummary> {
-    let mut by_user: BTreeMap<UserId, Vec<&JobRecord>> = BTreeMap::new();
+    let gateway: HashSet<JobId> = db.gateway_attrs.iter().map(|a| a.job).collect();
+    let mut by_user: BTreeMap<UserId, UserRecords<'_>> = BTreeMap::new();
     for j in &db.jobs {
-        by_user.entry(j.user).or_default().push(j);
+        by_user.entry(j.user).or_default().jobs.push(j);
     }
     // Users with only sessions/transfers still get a summary.
     for s in &db.sessions {
-        by_user.entry(s.user).or_default();
+        by_user.entry(s.user).or_default().sessions.push(s);
     }
     for t in &db.transfers {
-        by_user.entry(t.user).or_default();
+        by_user.entry(t.user).or_default().transfers.push(t);
     }
 
     let mut out = Vec::with_capacity(by_user.len());
-    for (user, mut jobs) in by_user {
+    for (
+        user,
+        UserRecords {
+            mut jobs,
+            sessions,
+            transfers,
+        },
+    ) in by_user
+    {
         jobs.sort_by_key(|j| (j.submit, j.job));
         let n = jobs.len() as u64;
         let core_hours: f64 = jobs.iter().map(|j| j.core_hours()).sum();
@@ -162,19 +183,17 @@ pub fn user_summaries(db: &AccountingDb) -> Vec<UserSummary> {
             1.0
         };
 
-        let gateway_jobs = jobs.iter().filter(|j| db.has_gateway_attr(j.job)).count() as u64;
+        let gateway_jobs = jobs.iter().filter(|j| gateway.contains(&j.job)).count() as u64;
         let engine_jobs = jobs
             .iter()
             .filter(|j| j.interface == SubmitInterface::WorkflowEngine)
             .count() as u64;
         let rc_jobs = jobs.iter().filter(|j| j.used_hw).count() as u64;
 
-        let sessions: Vec<_> = db.sessions.iter().filter(|s| s.user == user).collect();
         let session_hours: f64 = sessions
             .iter()
             .map(|s| s.logout.saturating_since(s.login).as_hours_f64())
             .sum();
-        let transfers: Vec<_> = db.transfers.iter().filter(|t| t.user == user).collect();
         let transfer_mb: f64 = transfers.iter().map(|t| t.mb).sum();
 
         out.push(UserSummary {
@@ -220,9 +239,9 @@ pub fn mean_wait_secs(jobs: &[JobRecord]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{GatewayAttribute, SessionRecord, TransferRecord};
+    use crate::record::GatewayAttribute;
     use tg_model::SiteId;
-    use tg_workload::{GatewayId, JobId, ProjectId, UserId};
+    use tg_workload::{GatewayId, ProjectId};
 
     fn job(id: usize, user: usize, submit: u64, start: u64, end: u64, cores: usize) -> JobRecord {
         JobRecord {

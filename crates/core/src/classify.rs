@@ -16,7 +16,7 @@
 //! the records determine the modality, not that a model can be fit.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use tg_accounting::query::{user_summaries, UserSummary};
 use tg_accounting::{AccountingDb, JobRecord};
 use tg_des::SimDuration;
@@ -79,6 +79,9 @@ pub fn classify_all(db: &AccountingDb, mode: ClassifierMode) -> HashMap<JobId, M
 }
 
 /// [`classify_all`] with explicit thresholds.
+///
+/// Linear in records: summaries, batches and the attribute streams are
+/// indexed once up front, so each job costs a few hash lookups.
 pub fn classify_with(
     db: &AccountingDb,
     mode: ClassifierMode,
@@ -100,33 +103,54 @@ pub fn classify_with(
         }
     }
 
+    let attrs = match mode {
+        ClassifierMode::WithAttributes => Some(AttributeIndex::new(db)),
+        ClassifierMode::RecordsOnly => None,
+    };
+
     let mut out = HashMap::with_capacity(db.jobs.len());
     for j in &db.jobs {
         let summary = summaries.get(&j.user).expect("summary for every account");
         let (batch_n, _, batch_uniform) = batches[&(j.user, j.submit)];
-        let m = classify_one(db, j, summary, batch_n, batch_uniform, mode, t);
+        let m = classify_one(attrs.as_ref(), j, summary, batch_n, batch_uniform, t);
         out.insert(j.job, m);
     }
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Job ids carrying the instrumentation records that
+/// [`ClassifierMode::WithAttributes`] consults, built once per call.
+struct AttributeIndex {
+    gateway: HashSet<JobId>,
+    rc: HashSet<JobId>,
+}
+
+impl AttributeIndex {
+    fn new(db: &AccountingDb) -> Self {
+        AttributeIndex {
+            gateway: db.gateway_attrs.iter().map(|a| a.job).collect(),
+            rc: db.rc_placements.iter().map(|p| p.job).collect(),
+        }
+    }
+}
+
+/// Label one job. `attrs` is `Some` exactly in
+/// [`ClassifierMode::WithAttributes`].
 fn classify_one(
-    db: &AccountingDb,
+    attrs: Option<&AttributeIndex>,
     j: &JobRecord,
     summary: &UserSummary,
     batch_n: u64,
     batch_uniform: bool,
-    mode: ClassifierMode,
     t: &RuleThresholds,
 ) -> Modality {
-    match mode {
-        ClassifierMode::WithAttributes => {
+    match attrs {
+        Some(attrs) => {
             // Strong evidence first.
-            if db.rc_placement_of(j.job).is_some() || j.used_hw {
+            if attrs.rc.contains(&j.job) || j.used_hw {
                 return Modality::RcAccelerated;
             }
-            if db.has_gateway_attr(j.job) {
+            if attrs.gateway.contains(&j.job) {
                 return Modality::ScienceGateway;
             }
             if j.interface == SubmitInterface::WorkflowEngine {
@@ -134,7 +158,7 @@ fn classify_one(
             }
             shape_rules(j, summary, batch_n, batch_uniform, t)
         }
-        ClassifierMode::RecordsOnly => {
+        None => {
             // No attributes: RC fabric usage is still visible in the job
             // record's partition (we model it as the used_hw flag, which a
             // site's local RM reports even without federation attributes)…

@@ -2176,7 +2176,7 @@ mod tests {
         assert_eq!(r.user, UserId(COMMUNITY_ACCOUNT_BASE + 3));
         assert_eq!(out.db.gateway_attrs.len(), 1);
         assert_eq!(out.db.gateway_attrs[0].end_user, 0, "person id as tag");
-        assert!(out.db.has_gateway_attr(JobId(0)));
+        assert!(out.db.gateway_attrs.iter().any(|a| a.job == JobId(0)));
     }
 
     #[test]

@@ -122,9 +122,11 @@ pub struct TraceAnalyzer {
     lines: u64,
     span_lines: u64,
     skipped: u64,
-    by_kind: BTreeMap<String, GroupAcc>,
-    queued_by_cause: BTreeMap<String, GroupAcc>,
-    stage_in_by_cause: BTreeMap<String, GroupAcc>,
+    // Keyed by the kinds' and causes' static wire names: no key allocation
+    // per span, and the same order as the `String` keys they become.
+    by_kind: BTreeMap<&'static str, GroupAcc>,
+    queued_by_cause: BTreeMap<&'static str, GroupAcc>,
+    stage_in_by_cause: BTreeMap<&'static str, GroupAcc>,
     queued_by_site: BTreeMap<u64, GroupAcc>,
     // BTreeMap, not HashMap: `finish()` folds per-job f64 wait totals in
     // iteration order, and float addition is not associative — a hashed
@@ -156,6 +158,13 @@ impl TraceAnalyzer {
         if trimmed.is_empty() {
             return;
         }
+        // A line whose decoded `cat` is "span" holds that word either
+        // literally or through a `\` escape, so a line with neither cannot
+        // be a span entry and skips the JSON parse.
+        if !trimmed.contains(SPAN_CATEGORY) && !trimmed.contains('\\') {
+            self.skipped += 1;
+            return;
+        }
         match parse_span_line(trimmed) {
             Some(span) => {
                 self.span_lines += 1;
@@ -169,13 +178,13 @@ impl TraceAnalyzer {
     pub fn add_span(&mut self, span: &Span) {
         let d = span.duration();
         self.by_kind
-            .entry(span.kind.name().to_string())
+            .entry(span.kind.name())
             .or_insert_with(GroupAcc::new)
             .record(d);
         if span.kind == SpanKind::StageIn {
             if let Some(cause) = span.cause {
                 self.stage_in_by_cause
-                    .entry(cause.name().to_string())
+                    .entry(cause.name())
                     .or_insert_with(GroupAcc::new)
                     .record(d);
             }
@@ -183,7 +192,7 @@ impl TraceAnalyzer {
         if span.kind == SpanKind::Queued {
             let cause = span.cause.unwrap_or(WaitCause::Immediate);
             self.queued_by_cause
-                .entry(cause.name().to_string())
+                .entry(cause.name())
                 .or_insert_with(GroupAcc::new)
                 .record(d);
             if let Some(site) = span.site {
@@ -235,17 +244,17 @@ impl TraceAnalyzer {
             by_kind: self
                 .by_kind
                 .iter()
-                .map(|(k, a)| (k.clone(), a.finish()))
+                .map(|(&k, a)| (k.to_string(), a.finish()))
                 .collect(),
             queued_by_cause: self
                 .queued_by_cause
                 .iter()
-                .map(|(k, a)| (k.clone(), a.finish()))
+                .map(|(&k, a)| (k.to_string(), a.finish()))
                 .collect(),
             stage_in_by_cause: self
                 .stage_in_by_cause
                 .iter()
-                .map(|(k, a)| (k.clone(), a.finish()))
+                .map(|(&k, a)| (k.to_string(), a.finish()))
                 .collect(),
             queued_by_site: self
                 .queued_by_site
@@ -436,6 +445,80 @@ mod tests {
             assert_eq!(s.count, t.count, "modality {k}");
         }
         assert_eq!(a, b);
+    }
+
+    /// The substring prefilter in `add_line` changes no result: an analyzer
+    /// fed a mixed stream equals a fold that parses every non-blank line.
+    #[test]
+    fn prefilter_matches_parsing_every_line() {
+        let run = line(1, "run", 0.0, 4.0, ",\"site\":0,\"modality\":\"batch\"");
+        let queued = line(
+            1,
+            "queued",
+            0.0,
+            2.5,
+            ",\"site\":0,\"cause\":\"ahead-in-queue\"",
+        );
+        let escaped_cat = line(2, "run", 1.0, 3.0, "").replace("\"span\"", "\"sp\\u0061n\"");
+        let escaped_kind = line(3, "stage_in", 0.0, 1.0, "").replace("stage_in", "stage\\u005fin");
+        let stream = [
+            run.clone(),
+            queued.clone(),
+            escaped_cat,
+            escaped_kind,
+            format!("{run}\r"),
+            format!("  {queued}\t"),
+            // "span" only inside a message or a field value.
+            "{\"t\":1.0,\"cat\":\"submit\",\"msg\":\"span of job 4\",\"fields\":{\"job\":4}}"
+                .into(),
+            "{\"t\":1.0,\"cat\":\"fault\",\"fields\":{\"note\":\"span\",\"job\":5}}".into(),
+            "{\"t\":1.0,\"cat\":\"spans\",\"fields\":{\"job\":6}}".into(),
+            // Malformed lines shaped like span lines.
+            run[..run.len() - 2].to_string(),
+            run.replace("\"job\":1", "\"job\":\"one\""),
+            run.replace("\"run\"", "\"sprint\""),
+            run.replace("\"t0\":0", "\"t0\":null"),
+            "{\"cat\":\"span\"}".into(),
+            "{\"cat\":\"span\",\"fields\":{\"job\":1}} trailing".into(),
+            // Blank, whitespace-only and carriage-return lines.
+            String::new(),
+            "   ".into(),
+            "\t".into(),
+            "\r".into(),
+            "{\"t\":2.0,\"cat\":\"submit\",\"fields\":{\"job\":7}}\r".into(),
+            // Non-object JSON, with and without the word.
+            "[1,2,3]".into(),
+            "\"span\"".into(),
+            "[\"span\",{\"cat\":\"span\"}]".into(),
+            "42".into(),
+            "null".into(),
+            "\"\\u0073pan\"".into(),
+        ];
+
+        let mut fast = TraceAnalyzer::new();
+        let mut full = TraceAnalyzer::new();
+        for l in &stream {
+            fast.add_line(l);
+            full.lines += 1;
+            let trimmed = l.trim();
+            if trimmed.is_empty() {
+                continue;
+            }
+            match parse_span_line(trimmed) {
+                Some(span) => {
+                    full.span_lines += 1;
+                    full.add_span(&span);
+                }
+                None => full.skipped += 1,
+            }
+        }
+        let (fast, full) = (fast.finish(), full.finish());
+        assert_eq!(fast, full);
+        assert_eq!(fast.lines, stream.len() as u64);
+        // run, queued, the two escaped lines, and the padded run/queued.
+        assert_eq!(fast.span_lines, 6);
+        assert_eq!(fast.by_kind["stage_in"].count, 1);
+        assert_eq!(fast.skipped, stream.len() as u64 - 6 - 4);
     }
 
     #[test]
