@@ -4,17 +4,19 @@
 //! wired through `GridSim`) is an *observer*: enabling it must not change a
 //! single byte of simulation output, and the report it produces must itself
 //! be a pure function of `(config, seed)`. This suite enforces both, and
-//! cross-checks the online sketches against the offline trace analyzer
-//! within the sketch's documented error bound. Thread-count invariance is a
+//! cross-checks the online sketches against the offline trace analyzer:
+//! counts and quantiles exactly, means within the sketch's documented error
+//! bound. Thread-count invariance is a
 //! replication-level property, checked in `runner.rs`.
 
+use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::PathBuf;
 
 use tg_core::{RunOptions, ScenarioConfig, SimOutput};
 use tg_des::analyze::parse_span_line;
 use tg_des::sketch::RELATIVE_ERROR;
-use tg_des::{SpanKind, TraceAnalyzer};
+use tg_des::{GroupStats, SketchSummary, SpanKind, TraceAnalyzer};
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tg-obs-{tag}-{}.jsonl", std::process::id()))
@@ -61,25 +63,40 @@ fn live_stats_never_perturb_serial_results() {
     );
 }
 
-/// Acceptance cross-check: run once with both the JSONL trace and the online
-/// sketches, then compare the sketch tables against (a) the offline analyzer
-/// (exact counts and means) and (b) exact nearest-rank quantiles over the
-/// parsed span durations — everything within the sketch's documented
-/// [`RELATIVE_ERROR`].
-#[test]
-fn online_sketches_agree_with_offline_analyzer() {
-    let cfg = ScenarioConfig::baseline(150, 7);
-    let path = scratch("agree");
+/// `(count, p50, p95, p99)` per key: the fields both tables compute the
+/// same way, from the same sketch layout.
+type Quantiles<K> = BTreeMap<K, (u64, f64, f64, f64)>;
+
+fn offline_quantiles<K: Clone + Ord>(t: &BTreeMap<K, GroupStats>) -> Quantiles<K> {
+    t.iter()
+        .map(|(k, s)| (k.clone(), (s.count, s.p50, s.p95, s.p99)))
+        .collect()
+}
+
+fn online_quantiles<K: Clone + Ord>(t: &BTreeMap<K, SketchSummary>) -> Quantiles<K> {
+    t.iter()
+        .map(|(k, s)| (k.clone(), (s.count, s.p50, s.p95, s.p99)))
+        .collect()
+}
+
+/// Run once with both the JSONL trace and the online sketches, then check
+/// that (a) the offline analyzer's shared tables equal the sketch tables
+/// exactly in count and quantiles, (b) the analyzer's exact means are within
+/// the sketch's [`RELATIVE_ERROR`] of its bin-midpoint means, and (c) the
+/// sketch quantiles are within [`RELATIVE_ERROR`] of exact nearest-rank
+/// quantiles over the parsed span durations.
+fn assert_online_equals_offline(cfg: ScenarioConfig, seed: u64, tag: &str) -> SimOutput {
+    let path = scratch(tag);
     let opts = RunOptions {
         trace_path: Some(path.clone()),
         live_stats: true,
         ..RunOptions::default()
     };
-    let out = cfg.build().run_with(777, &opts);
+    let out = cfg.build().run_with(seed, &opts);
     let stats = out.stats.as_ref().expect("stats collected");
 
     let mut analyzer = TraceAnalyzer::new();
-    let mut durations: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
+    let mut durations: BTreeMap<String, Vec<f64>> = Default::default();
     let file = std::fs::File::open(&path).expect("trace file exists");
     for line in std::io::BufReader::new(file).lines() {
         let line = line.expect("readable line");
@@ -94,60 +111,61 @@ fn online_sketches_agree_with_offline_analyzer() {
     let _ = std::fs::remove_file(&path);
     let analysis = analyzer.finish();
 
-    // Same span stream, so group membership and counts match exactly.
+    // Same span stream, same microsecond durations, same sketch layout: the
+    // shared tables agree bit for bit.
     assert_eq!(
         analysis.span_lines, stats.spans.spans,
-        "span count online vs trace"
+        "{tag}: span count online vs trace"
+    );
+    let spans = &stats.spans;
+    assert_eq!(
+        offline_quantiles(&analysis.by_kind),
+        online_quantiles(&spans.by_kind),
+        "{tag}: by_kind"
     );
     assert_eq!(
-        analysis.by_kind.keys().collect::<Vec<_>>(),
-        stats.spans.by_kind.keys().collect::<Vec<_>>(),
-        "span kinds"
+        offline_quantiles(&analysis.queued_by_cause),
+        online_quantiles(&spans.queued_by_cause),
+        "{tag}: queued_by_cause"
     );
     assert_eq!(
-        analysis.queued_by_cause.keys().collect::<Vec<_>>(),
-        stats.spans.queued_by_cause.keys().collect::<Vec<_>>(),
-        "wait causes"
+        offline_quantiles(&analysis.stage_in_by_cause),
+        online_quantiles(&spans.stage_in_by_cause),
+        "{tag}: stage_in_by_cause"
+    );
+    assert_eq!(
+        offline_quantiles(&analysis.queued_by_site),
+        online_quantiles(&spans.queued_by_site),
+        "{tag}: queued_by_site"
     );
     let close = |got: f64, want: f64, what: &str| {
         let tol = want.abs() * RELATIVE_ERROR + 1e-6;
         assert!(
             (got - want).abs() <= tol,
-            "{what}: online {got} vs offline {want} (tol {tol})"
+            "{tag} {what}: online {got} vs exact {want} (tol {tol})"
         );
     };
     for (kind, offline) in &analysis.by_kind {
-        let online = &stats.spans.by_kind[kind];
-        assert_eq!(online.count, offline.count, "{kind}: count");
         // The analyzer's mean is exact; the sketch's is bin-midpoint based.
-        close(online.mean, offline.mean, &format!("{kind}: mean"));
-    }
-    for (cause, offline) in &analysis.queued_by_cause {
-        assert_eq!(
-            stats.spans.queued_by_cause[cause].count, offline.count,
-            "{cause}: count"
-        );
-    }
-    for (site, offline) in &analysis.queued_by_site {
-        assert_eq!(
-            stats.spans.queued_by_site[site].count, offline.count,
-            "site {site}: count"
+        close(
+            spans.by_kind[kind].mean,
+            offline.mean,
+            &format!("{kind}: mean"),
         );
     }
 
     // Exact nearest-rank quantiles from the retained durations: the sketch
-    // must land within its documented relative error. (The analyzer's own
-    // quantiles are P² *estimates*, so the exact sort is the fair referee.)
+    // (and so the analyzer) lands within its documented relative error.
     for (kind, vals) in &mut durations {
         vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let online = &stats.spans.by_kind[kind.as_str()];
+        let online = &spans.by_kind[kind.as_str()];
         for (q, got) in [(0.50, online.p50), (0.95, online.p95), (0.99, online.p99)] {
             let rank = ((q * vals.len() as f64).ceil() as usize).clamp(1, vals.len());
             let want = vals[rank - 1];
             let tol = want.abs() * RELATIVE_ERROR + 1e-6;
             assert!(
                 (got - want).abs() <= tol,
-                "{kind} p{:.0}: sketch {got} vs exact {want} (tol {tol}, n={})",
+                "{tag} {kind} p{:.0}: sketch {got} vs exact {want} (tol {tol}, n={})",
                 q * 100.0,
                 vals.len()
             );
@@ -161,16 +179,45 @@ fn online_sketches_agree_with_offline_analyzer() {
     assert_eq!(
         digest.completed,
         out.db.jobs.len() as u64,
-        "series completion count vs accounting db"
+        "{tag}: series completion count vs accounting db"
     );
     assert!(digest.buckets > 0 && digest.peak_active > 0);
+    out
+}
+
+#[test]
+fn online_sketches_agree_with_offline_analyzer() {
+    let out = assert_online_equals_offline(ScenarioConfig::baseline(150, 7), 777, "agree");
+    let spans = &out.stats.as_ref().expect("stats collected").spans;
     // Queued spans: one per completed job (requeues add more, baseline has
     // none), so the queued table covers every job.
     assert_eq!(
-        stats.spans.by_kind[SpanKind::Queued.name()].count,
-        out.db.jobs.len() as u64 + stats.spans.by_kind.get("requeue").map_or(0, |s| s.count),
+        spans.by_kind[SpanKind::Queued.name()].count,
+        out.db.jobs.len() as u64 + spans.by_kind.get("requeue").map_or(0, |s| s.count),
         "queued span coverage"
     );
+
+    // A data grid with a notice-0 site outage: stage-in causes and the
+    // fault and requeue kinds, which the baseline never produces.
+    let mut cfg = ScenarioConfig::datagrid(120, 7);
+    cfg.faults = Some(tg_core::FaultSpec {
+        site_outages: vec![tg_core::OutageWindow {
+            site: 1,
+            start_hours: 30.0,
+            duration_hours: 12.0,
+            notice_hours: 0.0,
+        }],
+        retry: Some(tg_sched::RetryPolicy::default()),
+        ..tg_core::FaultSpec::default()
+    });
+    let out = assert_online_equals_offline(cfg, 100, "agree-datagrid");
+    let spans = &out.stats.as_ref().expect("stats collected").spans;
+    for kind in [SpanKind::Fault, SpanKind::Requeue, SpanKind::StageIn] {
+        assert!(spans.by_kind.contains_key(kind.name()), "no {kind} spans");
+    }
+    for cause in ["cache-hit", "cache-miss"] {
+        assert!(spans.stage_in_by_cause.contains_key(cause), "no {cause}");
+    }
 }
 
 /// The JSONL live sink streams exactly the closed-bucket rows of the final

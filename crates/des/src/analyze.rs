@@ -9,15 +9,19 @@
 //! [`TraceAnalyzer::add_line`], then call [`TraceAnalyzer::finish`] for the
 //! aggregated [`TraceAnalysis`].
 //!
-//! Aggregates use the same machinery the live simulation uses for its own
-//! statistics ([`Histogram`] with log-spaced duration bins and [`P2Quantile`]
-//! estimators), so numbers derived offline from a trace are directly
-//! comparable to numbers computed in-run.
+//! Each group keeps an exact mean ([`OnlineStats`]) and reads its p50/p95/p99
+//! from a [`QuantileSketch`], the estimator the live run's `--live-stats`
+//! book uses. Span durations are taken in whole microseconds, the way the
+//! simulator measures them ([`Span::duration`]), and a sketch's quantiles
+//! depend only on which values it saw, not their order; so the offline
+//! `by_kind`, `queued_by_cause`, `stage_in_by_cause` and `queued_by_site`
+//! tables equal the online ones exactly in `count`/`p50`/`p95`/`p99`.
 
 use std::collections::BTreeMap;
 
+use crate::sketch::QuantileSketch;
 use crate::span::{Span, SpanKind, WaitCause, SPAN_CATEGORY};
-use crate::stats::{Histogram, OnlineStats, P2Quantile};
+use crate::stats::OnlineStats;
 
 /// Summary statistics for one group of span durations (seconds).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -26,7 +30,7 @@ pub struct GroupStats {
     pub count: u64,
     /// Exact mean duration.
     pub mean: f64,
-    /// Median (P² estimate; log-binned histogram fallback below 5 samples).
+    /// Median, within [`RELATIVE_ERROR`](crate::sketch::RELATIVE_ERROR).
     pub p50: f64,
     /// 95th percentile.
     pub p95: f64,
@@ -34,46 +38,33 @@ pub struct GroupStats {
     pub p99: f64,
 }
 
-/// Online accumulator behind each [`GroupStats`].
+/// Online accumulator behind each [`GroupStats`]: an exact mean plus the
+/// quantile sketch.
 struct GroupAcc {
     stats: OnlineStats,
-    hist: Histogram,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
+    sketch: QuantileSketch,
 }
 
 impl GroupAcc {
     fn new() -> Self {
         GroupAcc {
             stats: OnlineStats::new(),
-            hist: Histogram::for_durations(),
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
+            sketch: QuantileSketch::new(),
         }
     }
 
     fn record(&mut self, x: f64) {
         self.stats.record(x);
-        self.hist.record(x);
-        self.p50.record(x);
-        self.p95.record(x);
-        self.p99.record(x);
+        self.sketch.record(x);
     }
 
     fn finish(&self) -> GroupStats {
-        let q = |p2: &P2Quantile, q: f64| {
-            p2.estimate()
-                .or_else(|| self.hist.quantile(q))
-                .unwrap_or_else(|| self.stats.mean())
-        };
         GroupStats {
             count: self.stats.count(),
             mean: self.stats.mean(),
-            p50: q(&self.p50, 0.50),
-            p95: q(&self.p95, 0.95),
-            p99: q(&self.p99, 0.99),
+            p50: self.sketch.quantile(0.50),
+            p95: self.sketch.quantile(0.95),
+            p99: self.sketch.quantile(0.99),
         }
     }
 }
@@ -525,13 +516,22 @@ mod tests {
     fn group_stats_mean_is_exact_even_with_few_samples() {
         let mut a = TraceAnalyzer::new();
         a.add_line(&line(1, "run", 0.0, 4.0, ""));
+        let one = a.finish().by_kind["run"];
+        assert_eq!(one.count, 1);
+        // A single sample is every quantile: the sketch clamps to min/max.
+        assert_eq!((one.mean, one.p50, one.p95, one.p99), (4.0, 4.0, 4.0, 4.0));
+
         a.add_line(&line(2, "run", 0.0, 8.0, ""));
-        let out = a.finish();
-        let run = &out.by_kind["run"];
-        assert_eq!(run.count, 2);
-        assert!((run.mean - 6.0).abs() < 1e-12);
-        // Below 5 samples P² has no estimate; the fallback must still give
-        // a finite, in-range number.
-        assert!(run.p50.is_finite() && run.p50 >= 0.0);
+        let two = a.finish().by_kind["run"];
+        assert_eq!(two.count, 2);
+        assert!((two.mean - 6.0).abs() < 1e-12);
+        // Nearest rank: p99 is the larger sample (clamped to the exact max),
+        // p50 the smaller one's bin midpoint.
+        assert_eq!(two.p99, 8.0);
+        assert!(
+            (two.p50 - 4.0).abs() / 4.0 <= crate::sketch::RELATIVE_ERROR,
+            "p50 {}",
+            two.p50
+        );
     }
 }

@@ -17,8 +17,8 @@
 //!   empirical/alias sampling, ...). Implemented here rather than pulling in
 //!   `rand_distr` so sampling stays deterministic and auditable.
 //! * [`stats`] — online statistics: Welford mean/variance, time-weighted
-//!   averages (utilization), histograms, P² quantile estimation, and
-//!   Student-t confidence intervals across replications.
+//!   averages (utilization), exact nearest-rank quantiles of stored samples,
+//!   and Student-t confidence intervals across replications.
 //! * [`trace`] — a lightweight, optionally-enabled structured event trace
 //!   ring buffer with an optional JSONL sink.
 //! * [`span`] — per-job lifecycle span schema (held / stage-in / queued /
@@ -26,7 +26,8 @@
 //!   through the tracer as `cat == "span"` entries.
 //! * [`analyze`] — offline reconstruction of spans from an archived JSONL
 //!   trace into per-kind / per-cause / per-site / per-modality latency
-//!   breakdowns (mean, p50/p95/p99).
+//!   breakdowns (exact mean; p50/p95/p99 from the same [`sketch`] layout
+//!   the live run uses, so the two tables agree exactly).
 //! * [`memory`] — process-level memory observability for benchmarks: peak
 //!   RSS via `/proc` and an opt-in counting global allocator (thread-safe:
 //!   worker-thread allocations are attributed to the same run totals).
@@ -101,7 +102,7 @@ pub mod prelude {
     pub use crate::metrics::{EngineProfile, MetricsRegistry, MetricsSnapshot};
     pub use crate::rng::{RngFactory, SimRng, StreamId};
     pub use crate::span::{Span, SpanKind, WaitCause};
-    pub use crate::stats::{Histogram, OnlineStats, P2Quantile, TimeWeighted};
+    pub use crate::stats::{OnlineStats, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{TraceValue, Tracer};
 }
@@ -118,6 +119,6 @@ pub use rng::{RngFactory, SimRng, StreamId};
 pub use series::{SeriesDigest, SeriesRow, SeriesSnapshot, WindowedSeries};
 pub use sketch::{QuantileSketch, SketchSummary, SpanSketchbook, SpanStatsSnapshot};
 pub use span::{Span, SpanKind, WaitCause, SPAN_SCHEMA_VERSION};
-pub use stats::{Histogram, OnlineStats, P2Quantile, TimeWeighted};
+pub use stats::{OnlineStats, TimeWeighted};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEntry, TraceHealth, TraceValue, Tracer};

@@ -43,6 +43,8 @@
 
 use std::fmt;
 
+use crate::time::SimTime;
+
 /// Version of the span trace schema documented in this module. Bump when a
 /// field is added, removed, or reinterpreted.
 pub const SPAN_SCHEMA_VERSION: u64 = 1;
@@ -222,9 +224,15 @@ pub struct Span {
 }
 
 impl Span {
-    /// Span length in seconds (never negative).
+    /// Span length in seconds (never negative), measured in whole
+    /// microseconds of the [`SimTime`] clock the way the simulator measures
+    /// the span it emits, so offline and online statistics see the same
+    /// value bit for bit. Plain `t1 - t0` in `f64` can differ in the last
+    /// bits.
     pub fn duration(&self) -> f64 {
-        (self.t1 - self.t0).max(0.0)
+        SimTime::from_secs_f64(self.t1)
+            .saturating_since(SimTime::from_secs_f64(self.t0))
+            .as_secs_f64()
     }
 }
 
@@ -278,5 +286,25 @@ mod tests {
         assert_eq!(s.duration(), 0.0);
         let ok = Span { t1: 9.0, ..s };
         assert_eq!(ok.duration(), 4.0);
+    }
+
+    #[test]
+    fn duration_is_the_whole_microsecond_difference() {
+        use crate::time::SimDuration;
+        // Two instants as the trace writes them: whole microseconds in
+        // seconds. Their f64 difference is off in the last bits.
+        let (t0, t1) = (SimTime::from_micros(100_000), SimTime::from_micros(400_000));
+        let s = Span {
+            job: 1,
+            kind: SpanKind::Queued,
+            t0: t0.as_secs_f64(),
+            t1: t1.as_secs_f64(),
+            site: None,
+            cause: None,
+            modality: None,
+        };
+        let exact = SimDuration::from_micros(300_000).as_secs_f64();
+        assert_ne!(s.t1 - s.t0, exact);
+        assert_eq!(s.duration(), exact);
     }
 }

@@ -12,9 +12,10 @@
 //!
 //! 2. **Analytic, bounded.** Reported quantiles stay within the documented
 //!    [`RELATIVE_ERROR`] of exact sorted-sample quantiles on uniform,
-//!    exponential, and bimodal inputs — the same shapes `quantiles.rs`
-//!    uses for the P²/histogram estimators, and the same nearest-rank
-//!    convention as [`exact_quantile`].
+//!    exponential, and bimodal inputs, under the same nearest-rank
+//!    convention as [`exact_quantile`]. The sketch is the only streaming
+//!    quantile estimator in the workspace: live stats and the offline
+//!    trace analyzer both report through it.
 
 use tg_des::sketch::{QuantileSketch, SpanSketchbook, RELATIVE_ERROR};
 use tg_des::stats::exact_quantile;
